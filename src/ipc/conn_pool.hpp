@@ -1,11 +1,9 @@
 // Data-plane connection pool, keyed by map-output owner slot.
 //
-// Before this pool existed, every worker-to-worker pull attempt dialed a
-// fresh AF_UNIX connection to the owner's data-plane listener and dropped
-// it after one kFetchPart/kFetchData exchange. A reducer pulling M map
-// outputs from W owners paid M dials for what is W conversations; the pool
-// collapses that to one persistent connection per owner, reused across
-// pulls, pipelined requests, reduce tasks, and re-attempts.
+// A reducer pulling M map outputs from W owners holds W conversations;
+// the pool gives each one persistent connection per owner, reused across
+// pulls, windowed requests, reduce tasks, and re-attempts, instead of a
+// dial per kFetchPart/kFetchData exchange.
 //
 // Usage is lease-based:
 //
@@ -15,7 +13,7 @@
 //
 // A connection goes back to the pool only when the conversation on it
 // finished cleanly. Any failure that can leave bytes in flight — EOF
-// mid-reply, a CRC error, an unconsumed pipelined response — must call
+// mid-reply, a CRC error, a requested reply left unread — must call
 // lease.invalidate() so the destructor closes the socket instead: a pooled
 // connection is a protocol-state invariant ("idle at a message boundary"),
 // and a stale or desynchronized one must never serve another pull. The

@@ -28,18 +28,17 @@
 namespace dasc::ipc {
 
 /// Protocol message types. kHello..kShutdown are the supervisor/worker
-/// vocabulary (DESIGN.md section 13); kFetchPart..kChunkAck are the
-/// worker-to-worker shuffle and chunked-streaming extensions (section 14);
-/// unknown types are receiver errors.
+/// vocabulary (DESIGN.md section 13) plus kFetchData, the data-plane
+/// reply; kFetchPart..kChunkAck are the worker-to-worker shuffle and
+/// chunked-streaming extensions (section 14); unknown types are receiver
+/// errors.
 enum class MessageType : std::uint32_t {
   kHello = 1,      ///< worker -> supervisor: u64 pid (handshake)
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
   kMapAssign,      ///< supervisor -> worker: map task + input records
   kMapDone,        ///< worker -> supervisor: map task counters
-  kFetch,          ///< supervisor -> worker: fetch one map output
-  kFetchData,      ///< worker -> supervisor: CRC + serialized records
-  kReduceAssign,   ///< supervisor -> worker: reduce task + partition
-  kReduceDone,     ///< worker -> supervisor: reduce output records
+  kFetchData,      ///< owner data plane -> reducer: CRC + one partition's
+                   ///< records of one map output (reply to kFetchPart)
   kTaskError,      ///< worker -> supervisor: task failed (message text)
   kHeartbeat,      ///< worker -> supervisor: liveness while busy
   kShutdown,       ///< supervisor -> worker: exit the serve loop

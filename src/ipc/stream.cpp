@@ -35,27 +35,6 @@ void route_interloper(const Message& message,
 
 }  // namespace
 
-StreamConfig derived_stream_config(std::uint64_t payload_bytes) {
-  constexpr std::uint64_t kAlignBytes = 64 * 1024;
-  constexpr std::uint64_t kMinChunkBytes = 256 * 1024;
-  constexpr std::uint64_t kMaxChunkBytes = 4 * 1024 * 1024;
-  constexpr std::uint64_t kInflightTargetBytes = 8 * 1024 * 1024;
-  constexpr std::uint64_t kMinWindow = 4;  // == StreamConfig{}.window_chunks
-  constexpr std::uint64_t kMaxWindow = 16;
-
-  std::uint64_t chunk = payload_bytes / 64;
-  chunk = ((chunk + kAlignBytes - 1) / kAlignBytes) * kAlignBytes;
-  chunk = std::clamp(chunk, kMinChunkBytes, kMaxChunkBytes);
-  const std::uint64_t window =
-      std::clamp(kInflightTargetBytes / chunk, kMinWindow, kMaxWindow);
-
-  StreamConfig config;
-  config.chunk_bytes = static_cast<std::size_t>(chunk);
-  config.window_chunks = static_cast<std::size_t>(window);
-  config.adaptive = false;  // already resolved; nothing left to derive
-  return config;
-}
-
 Message encode_chunk(MessageType final_type, std::uint64_t total_bytes,
                      std::uint64_t chunk_index, std::string_view chunk) {
   WireWriter writer;
@@ -77,11 +56,8 @@ Message encode_stream_end(MessageType final_type, std::uint64_t total_bytes,
 }
 
 void send_message(Transport& transport, const Message& message,
-                  const StreamConfig& requested,
+                  const StreamConfig& config,
                   const std::function<void(const Message&)>& interloper) {
-  const StreamConfig config =
-      requested.adaptive ? derived_stream_config(message.payload.size())
-                         : requested;
   DASC_EXPECT(config.chunk_bytes >= 1, "ipc: chunk_bytes must be >= 1");
   DASC_EXPECT(config.window_chunks >= 1, "ipc: window_chunks must be >= 1");
   if (message.payload.size() <= config.chunk_bytes) {
@@ -95,8 +71,9 @@ void send_message(Transport& transport, const Message& message,
   for (std::size_t offset = 0; offset < message.payload.size();
        offset += config.chunk_bytes) {
     // Bounded in-flight window: block for credit before exceeding it. The
-    // receiver acks every window_chunks chunks, so credit always arrives
-    // (or the peer's death surfaces as EOF/IoError right here).
+    // receiver acks every window_chunks-th chunk while chunks remain, which
+    // is exactly when this loop waits, so credit always arrives (or the
+    // peer's death surfaces as EOF/IoError right here).
     while (sent_chunks - acked_chunks >= config.window_chunks) {
       std::optional<Message> credit = transport.recv();
       if (!credit.has_value()) {
@@ -137,7 +114,6 @@ std::optional<Message> recv_message(
   std::string payload;
   std::uint64_t expected_total = 0;
   std::uint64_t next_index = 0;
-  std::size_t ack_every = config.window_chunks;
   bool have_header = false;
   std::optional<Message> frame = std::move(first);
   while (true) {
@@ -155,15 +131,6 @@ std::optional<Message> recv_message(
         assembled.type = final_type;
         expected_total = total;
         payload.reserve(static_cast<std::size_t>(total));
-        if (config.adaptive) {
-          // Ack on the smaller of the derived window and the fixed default:
-          // a deadlock needs the receiver's ack cadence to exceed the
-          // sender's window, and every sender window (fixed or derived) is
-          // at least the default, so this cadence is always safe whatever
-          // config the sender ran with.
-          ack_every = std::min(derived_stream_config(total).window_chunks,
-                               StreamConfig{}.window_chunks);
-        }
         have_header = true;
       } else if (final_type != assembled.type || total != expected_total) {
         throw IoError("ipc: inconsistent stream chunk header");
@@ -176,7 +143,11 @@ std::optional<Message> recv_message(
       }
       payload.append(chunk);
       ++next_index;
-      if (next_index % ack_every == 0) {
+      // Credit only while chunks remain: the sender blocks after exactly
+      // these chunks, and an ack for the final chunk would be left unread
+      // on the socket for the next conversation to misparse.
+      if (next_index % config.window_chunks == 0 &&
+          payload.size() < expected_total) {
         WireWriter ack;
         ack.u64(next_index);
         transport.send({MessageType::kChunkAck, ack.take()});

@@ -14,11 +14,13 @@
 // Every kDataChunk frame carries the transport's own per-frame CRC-32 (a
 // flipped bit in any chunk is caught on receipt), and kDataEnd carries a
 // CRC over the whole reassembled payload, so a pathologically reordered or
-// dropped chunk cannot reassemble silently. The receiver grants flow-
-// control credit with kChunkAck{chunks_received} every
-// StreamConfig::window_chunks chunks; the sender blocks for credit once
-// that many chunks are unacknowledged, bounding in-flight bytes at
-// window_chunks x chunk_bytes regardless of payload size.
+// dropped chunk cannot reassemble silently. The sender blocks for credit
+// once StreamConfig::window_chunks chunks are unacknowledged, bounding
+// in-flight bytes at window_chunks x chunk_bytes regardless of payload
+// size. The receiver grants exactly that credit: kChunkAck{chunks_received}
+// after every window_chunks-th chunk, and only while more chunks are due.
+// It never acks the final chunk, so a finished stream leaves no frame
+// behind on either end of the socket.
 //
 // send_message / recv_message are drop-in wrappers over Transport::send /
 // Transport::recv: payloads at or under chunk_bytes go as one plain frame,
@@ -44,37 +46,16 @@ class Transport;
 
 namespace dasc::ipc {
 
+/// Chunk geometry. Every runtime endpoint uses the defaults; tests pass
+/// smaller values to exercise chunking cheaply. Both ends of a stream
+/// must agree on window_chunks (the receiver's ack cadence is the
+/// sender's credit window).
 struct StreamConfig {
   /// Payloads larger than this stream as kDataChunk frames of this size.
   std::size_t chunk_bytes = 256 * 1024;
   /// Chunks in flight before the sender blocks for a kChunkAck.
   std::size_t window_chunks = 4;
-  /// Derive chunk_bytes/window_chunks per message from the payload size
-  /// (sender) or the stream's declared total (receiver) instead of the
-  /// fixed values above — see derived_stream_config. An adaptive receiver
-  /// acks on the fixed default cadence (4 chunks), which never exceeds any
-  /// derived or default sender window, so mixed adaptive/fixed pairings
-  /// cannot deadlock.
-  bool adaptive = false;
 };
-
-/// The config an adaptive endpoint resolves for a payload of
-/// `payload_bytes`: chunks of payload/64 rounded up to 64 KiB, clamped to
-/// [256 KiB, 4 MiB] (small payloads keep the historical framing; huge ones
-/// amortize per-frame overhead), and a window targeting ~8 MiB in flight,
-/// clamped to [4, 16]. Pure and deterministic — both ends of a transfer
-/// derive the same values from the same declared size. The window floor of
-/// 4 (== the fixed default) is what makes adaptive and fixed endpoints
-/// safely interoperable (see StreamConfig::adaptive).
-StreamConfig derived_stream_config(std::uint64_t payload_bytes);
-
-/// Convenience: a default config with `adaptive` set — what the
-/// multi-process runtime passes on every control- and data-plane endpoint.
-inline StreamConfig adaptive_stream_config() {
-  StreamConfig config;
-  config.adaptive = true;
-  return config;
-}
 
 /// Frames a single kDataChunk. Exposed for tests that tamper with streams.
 Message encode_chunk(MessageType final_type, std::uint64_t total_bytes,
@@ -96,7 +77,7 @@ void send_message(Transport& transport, const Message& message,
 
 /// Receive one logical message, reassembling chunked streams. Plain frames
 /// return as-is; a kDataChunk opener runs the assembly loop (acking every
-/// window_chunks chunks) until kDataEnd, verifying chunk sequencing,
+/// window_chunks-th chunk short of the declared total) until kDataEnd, verifying chunk sequencing,
 /// declared sizes, and the whole-payload CRC. nullopt only on clean EOF
 /// *between* logical messages; EOF mid-stream is IoError. `interloper`
 /// (may be null) is handed kHeartbeat or other unrelated frames that

@@ -1,6 +1,7 @@
 #include "ipc/transport.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -169,10 +170,17 @@ Listener::Listener(const std::string& path) : path_(path) {
     fd_ = -1;
     throw IoError(errno_text("ipc: listen on " + path_ + " failed"));
   }
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    ::close(fd_);
+    fd_ = -1;
+    throw IoError(errno_text("ipc: eventfd for " + path_ + " failed"));
+  }
 }
 
 Listener::~Listener() {
   if (fd_ >= 0) ::close(fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   ::unlink(path_.c_str());
 }
 
@@ -188,21 +196,38 @@ std::unique_ptr<Transport> Listener::accept(std::size_t timeout_ms,
 
 std::unique_ptr<Transport> Listener::try_accept(std::size_t timeout_ms,
                                                 MetricsRegistry* metrics) {
-  pollfd pfd;
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
+  return accept_within(static_cast<int>(timeout_ms), metrics);
+}
+
+std::unique_ptr<Transport> Listener::accept_until_woken(
+    MetricsRegistry* metrics) {
+  return accept_within(-1, metrics);
+}
+
+std::unique_ptr<Transport> Listener::accept_within(int timeout_ms,
+                                                   MetricsRegistry* metrics) {
+  pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
   while (true) {
-    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+    const int ready = ::poll(fds, 2, timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
       throw IoError(errno_text("ipc: poll on listener failed"));
     }
-    if (ready == 0) return nullptr;
+    if (ready == 0 || fds[1].revents != 0) return nullptr;
     break;
   }
   const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
   if (fd < 0) throw IoError(errno_text("ipc: accept failed"));
   return std::make_unique<Transport>(fd, metrics);
+}
+
+void Listener::wake() {
+  // The counter stays nonzero (nothing reads it), so every later accept
+  // sees the wake too. A write to a live eventfd fails only on counter
+  // overflow, which one increment cannot reach.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t written =
+      ::write(wake_fd_, &one, sizeof(one));
 }
 
 }  // namespace dasc::ipc

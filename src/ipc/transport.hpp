@@ -83,7 +83,8 @@ class Transport {
 };
 
 /// AF_UNIX listening socket bound to `path` (unlinked on destruction).
-/// Used by the supervisor to accept exec-mode worker connections.
+/// Used by the supervisor to accept exec-mode worker connections and by
+/// each worker's data plane to accept pulling reducers.
 class Listener {
  public:
   explicit Listener(const std::string& path);
@@ -97,17 +98,31 @@ class Listener {
                                     MetricsRegistry* metrics = nullptr);
 
   /// Accept one connection or return nullptr after `timeout_ms` with no
-  /// pending peer — the polling form the worker data-plane loop uses so a
-  /// quiet listener can interleave stop-flag checks instead of throwing.
+  /// pending peer (or once wake() has been called).
   std::unique_ptr<Transport> try_accept(std::size_t timeout_ms,
                                         MetricsRegistry* metrics = nullptr);
+
+  /// Block until a peer connects and return it, or return nullptr once
+  /// wake() has been called — the accept loop of a server that must stop
+  /// promptly rather than on a poll timeout.
+  std::unique_ptr<Transport> accept_until_woken(
+      MetricsRegistry* metrics = nullptr);
+
+  /// Make every blocked and later accept return without a peer.
+  /// Safe to call from another thread.
+  void wake();
 
   const std::string& path() const { return path_; }
   int fd() const { return fd_; }
 
  private:
+  /// Poll the listener and the wake eventfd; timeout_ms -1 waits forever.
+  std::unique_ptr<Transport> accept_within(int timeout_ms,
+                                           MetricsRegistry* metrics);
+
   std::string path_;
   int fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd signalled by wake()
 };
 
 }  // namespace dasc::ipc

@@ -1,5 +1,6 @@
 #include "mapreduce/remote_runner.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,9 +45,8 @@ using ipc::WireWriter;
 constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
 
 /// CRC over records in the "key\tvalue\n" convention — the same transfer
-/// checksum fetch_one_verified uses in shuffle.cpp, so both shuffle
-/// topologies' verification (and their fault accounting) mirror
-/// in-process.
+/// checksum fetch_one_verified uses in shuffle.cpp, so the pull's
+/// verification (and its fault accounting) mirrors in-process.
 std::uint32_t records_crc(const std::vector<Record>& records) {
   Crc32 crc;
   for (const auto& record : records) {
@@ -92,8 +92,8 @@ std::vector<Record> filter_partition(const std::vector<Record>& output,
   return slice;
 }
 
-/// Injected-corruption realization shared by the relay gather and the
-/// worker-side pull: flip one byte of the transfer so the CRC check
+/// Injected-corruption realization of the worker-side pull, as in
+/// fetch_one_verified: flip one byte of the transfer so the CRC check
 /// catches it. Returns false when every record is empty (nothing to flip —
 /// the caller fails the attempt instead).
 bool flip_one_byte(std::vector<Record>& records) {
@@ -158,7 +158,7 @@ std::mutex& job_registry_mutex() {
   return mutex;
 }
 
-/// State shared between a worker's serve loop and its data-plane thread:
+/// State shared between a worker's serve loop and its data-plane threads:
 /// map outputs are written by the serve loop (kMapAssign, and kMapAssign
 /// re-executions inside a pull recovery) and read concurrently by
 /// kFetchPart servers and local pulls.
@@ -191,34 +191,44 @@ struct PullSlice {
   std::uint32_t crc = 0;
 };
 
-/// Everything a kReducePullDone report carries besides the output records:
-/// the reduce result, the pulled byte volume, and the spill/fault work the
-/// supervisor absorbs into its own registry and injector.
-struct PullOutcome {
-  detail::ReduceTaskResult reduced;
-  std::uint64_t record_bytes = 0;
-  std::uint64_t spill_bytes_written = 0;
-  std::uint64_t spill_bytes_read = 0;
-  std::uint64_t spill_pages = 0;
-  std::uint64_t fetch_fires = 0;
-  std::uint64_t fetch_retries = 0;
-  std::uint64_t spill_fires = 0;
-  std::uint64_t spill_retries = 0;
-  std::uint64_t conns_opened = 0;  ///< data-plane dials this task paid
-  std::uint64_t pulls = 0;         ///< map-output slices gathered
-};
+/// Execute one map task (a kMapAssign payload past its task id) and retain
+/// its output for pulls; returns the kMapDone reply.
+Message run_map_task(const WorkerJob& job, WorkerState& state,
+                     std::uint64_t task, WireReader& reader) {
+  detail::MapTaskResult mapped = detail::execute_map_task(
+      job.mapper_factory, job.combiner_factory,
+      job.use_combiner && job.combiner_factory != nullptr,
+      read_records(reader));
+  WireWriter done;
+  done.u64(task);
+  done.u64(mapped.emitted);
+  done.u64(mapped.combined);
+  done.u64(mapped.output.size());
+  std::lock_guard lock(state.outputs_mutex);
+  state.map_outputs[task] = std::move(mapped.output);
+  return {MessageType::kMapDone, done.take()};
+}
 
 /// Serve one data-plane connection: kFetchPart requests until the peer
-/// closes. Each request is a self-contained transaction, so pullers can
-/// hold a pooled connection open across many pulls (or reconnect per
-/// attempt) and a dead puller costs nothing but this loop's EOF. Pullers
-/// may pipeline several kFetchPart requests before reading replies; the
-/// serve loop naturally answers them in order.
+/// closes. Each request is a self-contained transaction answered in
+/// arrival order, so a puller can keep several requests in flight on one
+/// pooled connection, and a dead puller costs nothing but this loop's EOF.
+/// Pipelined requests also arrive while a streamed reply waits for credit;
+/// they queue behind it.
 void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
+  std::deque<Message> queued;
+  const auto queue = [&queued](const Message& frame) {
+    queued.push_back(frame);
+  };
   while (true) {
-    std::optional<Message> request = ipc::recv_message(peer, stream);
-    if (!request.has_value()) return;  // puller closed cleanly
+    std::optional<Message> request;
+    if (queued.empty()) {
+      request = ipc::recv_message(peer);
+      if (!request.has_value()) return;  // puller closed cleanly
+    } else {
+      request = std::move(queued.front());
+      queued.pop_front();
+    }
     if (request->type != MessageType::kFetchPart) {
       throw IoError("data plane: unexpected message type " +
                     std::to_string(
@@ -250,9 +260,120 @@ void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
     writer.u32(records_crc(*slice));
     writer.u64(slice->size());
     append_records(writer, *slice);
-    ipc::send_message(peer, {MessageType::kFetchData, writer.take()}, stream);
+    ipc::send_message(peer, {MessageType::kFetchData, writer.take()}, {},
+                      queue);
   }
 }
+
+/// kFetchPart requests a reducer keeps in flight per owner connection.
+constexpr std::size_t kPullWindow = 4;
+
+/// One reduce task's pulls from one remote map-output owner, over a
+/// connection leased from the worker's pool (DESIGN.md section 15). Up to
+/// kPullWindow requests stay in flight in the owner's pull order; the
+/// owner answers in request order, so replies come back in that order and
+/// any that arrive ahead of the task being pulled wait in `early_`.
+class OwnerLink {
+ public:
+  OwnerLink(ipc::ConnPool& pool, std::size_t slot, std::string path,
+            std::uint64_t partition, std::uint64_t num_partitions)
+      : pool_(pool), slot_(slot), path_(std::move(path)),
+        partition_(partition), num_partitions_(num_partitions) {}
+  OwnerLink(const OwnerLink&) = delete;
+  OwnerLink& operator=(const OwnerLink&) = delete;
+
+  /// A connection with replies still unread is mid-conversation: close it
+  /// rather than hand it back to the pool.
+  ~OwnerLink() {
+    if (lease_.has_value() && !in_flight_.empty()) lease_->invalidate();
+  }
+
+  void add_task(std::uint64_t map_task) { tasks_.push_back(map_task); }
+
+  /// Dial (or reuse) the connection and fill the window, so pulls from
+  /// every owner overlap from the start. A failure here only drops the
+  /// connection; fetch() re-dials and reports it.
+  void prime() {
+    try {
+      connect();
+    } catch (const IoError&) {
+      drop();
+    }
+  }
+
+  /// The owner's reply to kFetchPart for `map_task`. The task is requested
+  /// afresh when no request for it is outstanding: a retry after a failed
+  /// verification, or a request lost with a broken connection. A broken
+  /// connection is re-dialled once; a second failure means the owner is
+  /// unreachable.
+  Message fetch(std::uint64_t map_task) {
+    for (int dial = 0;; ++dial) {
+      try {
+        connect();
+        if (const auto it = early_.find(map_task); it != early_.end()) {
+          Message reply = std::move(it->second);
+          early_.erase(it);
+          return reply;
+        }
+        if (std::find(in_flight_.begin(), in_flight_.end(), map_task) ==
+            in_flight_.end()) {
+          request(map_task);
+        }
+        while (true) {
+          std::optional<Message> reply = ipc::recv_message(**lease_);
+          if (!reply.has_value()) {
+            throw IoError("owner closed the data plane mid-pull");
+          }
+          const std::uint64_t answered = in_flight_.front();
+          in_flight_.pop_front();
+          if (answered == map_task) return *std::move(reply);
+          early_.emplace(answered, *std::move(reply));
+        }
+      } catch (const IoError& error) {
+        drop();
+        if (dial >= 1) throw OwnerUnreachable{error.what()};
+      }
+    }
+  }
+
+ private:
+  void connect() {
+    if (!lease_.has_value()) lease_.emplace(pool_.lease(slot_, path_));
+    while (in_flight_.size() < kPullWindow && next_ < tasks_.size()) {
+      request(tasks_[next_++]);
+    }
+  }
+
+  void request(std::uint64_t map_task) {
+    WireWriter writer;
+    writer.u64(map_task);
+    writer.u64(partition_);
+    writer.u64(num_partitions_);
+    (*lease_)->send({MessageType::kFetchPart, writer.take()});
+    in_flight_.push_back(map_task);
+  }
+
+  /// Close a connection that failed mid-conversation; its unanswered
+  /// requests are re-sent by fetch() as their tasks come up.
+  void drop() {
+    if (lease_.has_value()) {
+      lease_->invalidate();
+      lease_.reset();
+    }
+    in_flight_.clear();
+  }
+
+  ipc::ConnPool& pool_;
+  std::size_t slot_;
+  std::string path_;
+  std::uint64_t partition_;
+  std::uint64_t num_partitions_;
+  std::optional<ipc::ConnPool::Lease> lease_;
+  std::vector<std::uint64_t> tasks_;        ///< owner's map tasks, pull order
+  std::size_t next_ = 0;                    ///< tasks_[next_..) unrequested
+  std::deque<std::uint64_t> in_flight_;     ///< requested, reply unread
+  std::map<std::uint64_t, Message> early_;  ///< replies read ahead
+};
 
 /// The worker half of a kReducePull assignment (topology in the header
 /// comment): pull this reduce task's slice of every map output in map-task
@@ -260,23 +381,23 @@ void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
 /// — into one sort-on-seal spool, then reduce off the merged stream. Pull
 /// order fixes the partition's record sequence to exactly what
 /// fetch_and_partition builds, so the spool's stable merge makes the
-/// reduce byte-identical to every other path.
-PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
-                            const WorkerOptions& options, WorkerState& state,
-                            std::uint64_t task, WireReader& reader) {
+/// reduce byte-identical to the in-process executor. Returns the
+/// kReducePullDone report: the reduce result plus the pulled byte volume
+/// and the spill/fault work the supervisor absorbs into its own registry
+/// and injector.
+Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
+                        const WorkerOptions& options, WorkerState& state,
+                        std::uint64_t task, WireReader& reader) {
   const std::uint64_t num_partitions = reader.u64();
   const std::uint64_t num_map_tasks = reader.u64();
   const std::uint64_t spill_budget = reader.u64();
   const std::string spill_dir(reader.bytes());
   const std::uint64_t max_fetch_attempts = reader.u64();
-  const bool pool_conns = reader.u32() != 0;
-  const std::size_t pipeline_depth = static_cast<std::size_t>(reader.u32());
   std::vector<OwnerRef> owners(static_cast<std::size_t>(num_map_tasks));
   for (auto& owner : owners) {
     owner.slot = static_cast<std::size_t>(reader.u64());
     owner.path = std::string(reader.bytes());
   }
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
 
   FaultInjector* faults = options.faults;
   const std::uint64_t fetch_base =
@@ -298,194 +419,49 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
   spool_config.metrics = &task_metrics;
   SpoolBuffer spool(spool_config);
 
-  PullOutcome outcome;
+  std::uint64_t fetch_retries = 0;
   const std::uint64_t conns_base = state.pool.opened();
 
-  // ---- Pipelined prefetch over pooled connections (section 15) ----
-  // One window of kFetchPart requests stays in flight per distinct remote
-  // owner, so pulls from different owners overlap and successive pulls
-  // from one owner hide the request/reply turnaround. Replies are consumed
-  // strictly in request order (the owner's serve loop answers in order),
-  // which is what keeps a pooled connection at a message boundary. Any
-  // wobble — an error, a mismatched reply, out-of-order consumption —
-  // breaks the pipeline: the lease is invalidated and the affected pulls
-  // fall back to the one-shot path, which reproduces the owner's typed
-  // error or unreachability with identical fault accounting.
-  struct OwnerPipeline {
-    std::string path;
-    std::optional<ipc::ConnPool::Lease> lease;
-    std::vector<std::uint64_t> tasks;   ///< owner's map tasks, pull order
-    std::size_t next_request = 0;       ///< tasks[next_request..) unsent
-    std::deque<std::uint64_t> pending;  ///< requested, reply unread
-    bool broken = false;
-  };
-  std::map<std::size_t, OwnerPipeline> pipelines;
-
-  const auto request_part = [&](ipc::Transport& peer,
-                                std::uint64_t map_task) {
-    WireWriter writer;
-    writer.u64(map_task);
-    writer.u64(task);
-    writer.u64(num_partitions);
-    peer.send({MessageType::kFetchPart, writer.take()});
-  };
-
-  const auto break_pipeline = [&](OwnerPipeline& pipe) {
-    pipe.broken = true;
-    if (pipe.lease.has_value()) {
-      pipe.lease->invalidate();
-      pipe.lease.reset();
+  std::map<std::size_t, OwnerLink> links;
+  for (std::uint64_t m = 0; m < num_map_tasks; ++m) {
+    const OwnerRef& owner = owners[static_cast<std::size_t>(m)];
+    if (owner.slot == options.ordinal || owner.slot == kNoOwner ||
+        owner.path.empty()) {
+      continue;
     }
-  };
-
-  const auto top_up = [&](OwnerPipeline& pipe) {
-    if (pipe.broken || !pipe.lease.has_value()) return;
-    try {
-      while (pipe.pending.size() < pipeline_depth &&
-             pipe.next_request < pipe.tasks.size()) {
-        request_part(**pipe.lease, pipe.tasks[pipe.next_request]);
-        pipe.pending.push_back(pipe.tasks[pipe.next_request]);
-        ++pipe.next_request;
-      }
-    } catch (const IoError&) {
-      break_pipeline(pipe);
-    }
-  };
-
-  if (pool_conns && pipeline_depth > 0) {
-    for (std::uint64_t m = 0; m < num_map_tasks; ++m) {
-      const OwnerRef& owner = owners[static_cast<std::size_t>(m)];
-      if (owner.slot == options.ordinal || owner.slot == kNoOwner ||
-          owner.path.empty()) {
-        continue;
-      }
-      OwnerPipeline& pipe = pipelines[owner.slot];
-      pipe.path = owner.path;
-      pipe.tasks.push_back(m);
-    }
-    for (auto& [slot, pipe] : pipelines) {
-      try {
-        pipe.lease.emplace(state.pool.lease(slot, pipe.path));
-      } catch (const IoError&) {
-        pipe.broken = true;  // dead owner: surfaces as unreachable later
-        continue;
-      }
-      top_up(pipe);
-    }
+    links
+        .try_emplace(owner.slot, state.pool, owner.slot, owner.path, task,
+                     num_partitions)
+        .first->second.add_task(m);
   }
+  for (auto& entry : links) entry.second.prime();
 
-  // Consume the pipelined reply for `map_task`, if one is in flight.
-  // Called exactly once per map task, before its attempt loop; nullopt
-  // means the pull falls back to the one-shot path.
-  const auto take_prefetched =
-      [&](std::uint64_t map_task) -> std::optional<PullSlice> {
+  const auto pull_slice = [&](std::uint64_t map_task) -> PullSlice {
     const OwnerRef& owner = owners[static_cast<std::size_t>(map_task)];
-    const auto it = pipelines.find(owner.slot);
-    if (it == pipelines.end()) return std::nullopt;
-    OwnerPipeline& pipe = it->second;
-    if (pipe.broken || !pipe.lease.has_value()) return std::nullopt;
-    if (pipe.pending.empty() || pipe.pending.front() != map_task) {
-      break_pipeline(pipe);  // out of order would desynchronize the conn
-      return std::nullopt;
-    }
-    try {
-      std::optional<Message> reply = ipc::recv_message(**pipe.lease, stream);
-      if (!reply.has_value()) {
-        break_pipeline(pipe);
-        return std::nullopt;
+    PullSlice slice;
+    if (owner.slot == options.ordinal) {
+      std::lock_guard lock(state.outputs_mutex);
+      const auto it = state.map_outputs.find(map_task);
+      if (it == state.map_outputs.end()) {
+        throw IoError("pull: map output " + std::to_string(map_task) +
+                      " not resident on this worker");
       }
-      pipe.pending.pop_front();
-      if (reply->type == MessageType::kTaskError) {
-        // Connection still clean (the serve loop answers errors in-band);
-        // the fallback pull will surface the same typed error.
-        top_up(pipe);
-        return std::nullopt;
-      }
-      DASC_ENSURE(reply->type == MessageType::kFetchData,
-                  "ipc: unexpected reply to pipelined kFetchPart");
-      WireReader data(reply->payload);
-      DASC_ENSURE(data.u64() == map_task,
-                  "ipc: pipelined kFetchData map task mismatch");
-      PullSlice slice;
-      slice.crc = data.u32();
-      const std::uint64_t count = data.u64();
-      slice.records = read_records(data);
-      DASC_ENSURE(slice.records.size() == count,
-                  "ipc: pipelined kFetchData record count mismatch");
-      top_up(pipe);
+      slice.records =
+          filter_partition(it->second, static_cast<std::size_t>(task),
+                           static_cast<std::size_t>(num_partitions));
+      slice.crc = records_crc(slice.records);
       return slice;
-    } catch (const std::exception&) {
-      break_pipeline(pipe);
-      return std::nullopt;
     }
-  };
-
-  // Unconsumed pipelined replies leave a connection mid-conversation; a
-  // failed reduce task must close those instead of pooling them.
-  const auto abandon_pipelines = [&] {
-    for (auto& entry : pipelines) {
-      OwnerPipeline& pipe = entry.second;
-      if (pipe.lease.has_value() && !pipe.pending.empty()) {
-        break_pipeline(pipe);
-      }
+    const auto link = links.find(owner.slot);
+    if (link == links.end()) {
+      throw OwnerUnreachable{"owner has no data-plane address"};
     }
-  };
-
-  const auto pull_local = [&](std::uint64_t map_task) -> PullSlice {
-    std::lock_guard lock(state.outputs_mutex);
-    const auto it = state.map_outputs.find(map_task);
-    if (it == state.map_outputs.end()) {
-      throw IoError("pull: map output " + std::to_string(map_task) +
-                    " not resident on this worker");
-    }
-    PullSlice slice;
-    slice.records =
-        filter_partition(it->second, static_cast<std::size_t>(task),
-                         static_cast<std::size_t>(num_partitions));
-    slice.crc = records_crc(slice.records);
-    return slice;
-  };
-
-  const auto pull_remote = [&](const OwnerRef& owner,
-                               std::uint64_t map_task) -> PullSlice {
-    // Any transport failure here — connecting to a dead process's stale
-    // socket, EOF mid-reply — is the owner being gone, not a verification
-    // failure, so it routes to recovery instead of the fetch-attempt loop.
-    // With pooling on, the connection is leased from (and returned to) the
-    // per-slot pool; a failure invalidates the lease so a desynchronized
-    // socket is closed, never reused.
-    std::optional<Message> reply;
-    try {
-      if (pool_conns) {
-        ipc::ConnPool::Lease lease = state.pool.lease(owner.slot, owner.path);
-        try {
-          request_part(*lease, map_task);
-          reply = ipc::recv_message(*lease, stream);
-        } catch (...) {
-          lease.invalidate();
-          throw;
-        }
-        if (!reply.has_value()) lease.invalidate();
-      } else {
-        const std::unique_ptr<ipc::Transport> peer =
-            ipc::Transport::connect(owner.path);
-        ++outcome.conns_opened;
-        request_part(*peer, map_task);
-        reply = ipc::recv_message(*peer, stream);
-      }
-    } catch (const IoError& error) {
-      throw OwnerUnreachable{error.what()};
-    }
-    if (!reply.has_value()) {
-      throw OwnerUnreachable{"owner closed the data plane mid-pull"};
-    }
-    if (reply->type == MessageType::kTaskError) rethrow_task_error(*reply);
-    DASC_ENSURE(reply->type == MessageType::kFetchData,
+    const Message reply = link->second.fetch(map_task);
+    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
+    DASC_ENSURE(reply.type == MessageType::kFetchData,
                 "ipc: unexpected reply to kFetchPart");
-    WireReader data(reply->payload);
-    DASC_ENSURE(data.u64() == map_task,
-                "ipc: kFetchData map task mismatch");
-    PullSlice slice;
+    WireReader data(reply.payload);
+    DASC_ENSURE(data.u64() == map_task, "ipc: kFetchData map task mismatch");
     slice.crc = data.u32();
     const std::uint64_t count = data.u64();
     slice.records = read_records(data);
@@ -494,40 +470,24 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
     return slice;
   };
 
-  // Mirrors the supervisor's relay fetch loop: one `shuffle.fetch` check
-  // per attempt, the same corruption realization, the same attempt cap —
-  // the fault plan is exercised identically whichever process fetches.
-  // `prefetched` (the pipelined reply, if any) serves the first attempt
-  // that actually pulls; a retry always re-pulls fresh, because a corrupt
-  // transfer must not be reused.
-  const auto pull_verified =
-      [&](std::uint64_t map_task,
-          std::optional<PullSlice>& prefetched) -> std::vector<Record> {
-    const OwnerRef& owner = owners[static_cast<std::size_t>(map_task)];
+  // The in-process fetch loop's contract (fetch_one_verified): one
+  // `shuffle.fetch` check per attempt, the same corruption realization,
+  // the same attempt cap. An injected error skips the transfer, so the
+  // next attempt consumes the reply already in flight; a failed
+  // verification consumed it, so the retry re-requests.
+  const auto pull_verified = [&](std::uint64_t map_task) {
     for (std::uint64_t attempt = 1;; ++attempt) {
       const FaultInjector::Outcome fault =
           faults != nullptr ? faults->check("shuffle.fetch")
                             : FaultInjector::Outcome::kNone;
-      bool ok = fault != FaultInjector::Outcome::kError;
       std::vector<Record> records;
+      bool ok = fault != FaultInjector::Outcome::kError;
       if (ok) {
-        PullSlice slice;
-        if (prefetched.has_value()) {
-          slice = *std::move(prefetched);
-          prefetched.reset();
-        } else if (owner.slot == options.ordinal) {
-          slice = pull_local(map_task);
-        } else if (owner.path.empty()) {
-          throw OwnerUnreachable{"owner has no data-plane address"};
-        } else {
-          slice = pull_remote(owner, map_task);
-        }
+        PullSlice slice = pull_slice(map_task);
         records = std::move(slice.records);
-        if (fault == FaultInjector::Outcome::kCorruption) {
-          ok = flip_one_byte(records) && records_crc(records) == slice.crc;
-        } else {
-          ok = records_crc(records) == slice.crc;
-        }
+        ok = (fault != FaultInjector::Outcome::kCorruption ||
+              flip_one_byte(records)) &&
+             records_crc(records) == slice.crc;
       }
       if (ok) return records;
       if (attempt >= max_fetch_attempts) {
@@ -535,7 +495,7 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
                       std::to_string(map_task) + " failed after " +
                       std::to_string(max_fetch_attempts) + " attempts");
       }
-      ++outcome.fetch_retries;
+      ++fetch_retries;
       DASC_LOG(kWarn) << "worker " << options.ordinal
                       << ": re-pulling map output " << map_task
                       << " (attempt " << attempt
@@ -555,17 +515,13 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
                     << "); asking the supervisor to re-home it";
     // Any idle pooled connection to the dead owner is garbage now — its
     // next incarnation listens on a fresh accept queue.
-    const std::size_t dead_slot =
-        owners[static_cast<std::size_t>(map_task)].slot;
-    if (dead_slot != kNoOwner && dead_slot != options.ordinal) {
-      state.pool.invalidate(dead_slot);
-    }
+    state.pool.invalidate(owners[static_cast<std::size_t>(map_task)].slot);
     WireWriter failed;
     failed.u64(task);
     failed.u64(map_task);
     control.send({MessageType::kPullFailed, failed.take()});
     while (true) {
-      std::optional<Message> frame = ipc::recv_message(control, stream);
+      std::optional<Message> frame = ipc::recv_message(control);
       if (!frame.has_value()) {
         throw IoError("pull: supervisor vanished during owner recovery");
       }
@@ -573,20 +529,7 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
         case MessageType::kMapAssign: {
           WireReader assign(frame->payload);
           const std::uint64_t assigned = assign.u64();
-          const std::vector<Record> input = read_records(assign);
-          detail::MapTaskResult mapped = detail::execute_map_task(
-              job.mapper_factory, job.combiner_factory,
-              job.use_combiner && job.combiner_factory != nullptr, input);
-          WireWriter done;
-          done.u64(assigned);
-          done.u64(mapped.emitted);
-          done.u64(mapped.combined);
-          done.u64(mapped.output.size());
-          {
-            std::lock_guard lock(state.outputs_mutex);
-            state.map_outputs[assigned] = std::move(mapped.output);
-          }
-          control.send({MessageType::kMapDone, done.take()});
+          control.send(run_map_task(job, state, assigned, assign));
           break;
         }
         case MessageType::kPullResume: {
@@ -606,47 +549,45 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
     }
   };
 
-  try {
-    for (std::uint64_t m = 0; m < num_map_tasks; ++m) {
-      std::optional<PullSlice> prefetched = take_prefetched(m);
-      std::vector<Record> slice;
-      // Two rounds suffice: a failed pull re-homes the output onto this
-      // worker, and a local pull cannot lose its owner.
-      for (std::size_t round = 0;; ++round) {
-        try {
-          slice = pull_verified(m, prefetched);
-          break;
-        } catch (const OwnerUnreachable& unreachable) {
-          if (round >= 1) {
-            throw IoError("pull: map output " + std::to_string(m) +
-                          " unreachable after re-homing: " +
-                          unreachable.reason);
-          }
-          recover_owner(m, unreachable.reason);
+  for (std::uint64_t m = 0; m < num_map_tasks; ++m) {
+    std::vector<Record> slice;
+    // Two rounds suffice: a failed pull re-homes the output onto this
+    // worker, and a local pull cannot lose its owner.
+    for (std::size_t round = 0;; ++round) {
+      try {
+        slice = pull_verified(m);
+        break;
+      } catch (const OwnerUnreachable& unreachable) {
+        if (round >= 1) {
+          throw IoError("pull: map output " + std::to_string(m) +
+                        " unreachable after re-homing: " +
+                        unreachable.reason);
         }
+        recover_owner(m, unreachable.reason);
       }
-      for (const auto& record : slice) {
-        spool.append(record.key, record.value);
-      }
-      ++outcome.pulls;
     }
-  } catch (...) {
-    abandon_pipelines();
-    throw;
+    for (const auto& record : slice) {
+      spool.append(record.key, record.value);
+    }
   }
-  abandon_pipelines();  // no-op on success: every pending reply consumed
   spool.finish();
-  outcome.reduced =
+  const detail::ReduceTaskResult reduced =
       detail::execute_reduce_spooled(job.reducer_factory, spool);
-  outcome.record_bytes = spool.record_bytes();
-  outcome.spill_bytes_written = static_cast<std::uint64_t>(
-      task_metrics.gauge_value("spill.bytes_written"));
-  outcome.spill_bytes_read = static_cast<std::uint64_t>(
-      task_metrics.gauge_value("spill.bytes_read"));
-  outcome.spill_pages =
-      static_cast<std::uint64_t>(task_metrics.gauge_value("spill.pages"));
-  outcome.spill_retries = static_cast<std::uint64_t>(
+  const auto spool_retries = static_cast<std::uint64_t>(
       task_metrics.counter_value("retry.spill_page_io"));
+  WireWriter report;
+  report.u64(task);
+  report.u64(reduced.num_groups);
+  report.u64(reduced.in_records);
+  report.u64(reduced.output.size());
+  report.u64(spool.record_bytes());
+  for (const char* gauge :
+       {"spill.bytes_written", "spill.bytes_read", "spill.pages"}) {
+    report.u64(static_cast<std::uint64_t>(task_metrics.gauge_value(gauge)));
+  }
+  report.u64(faults != nullptr ? faults->fired("shuffle.fetch") - fetch_base
+                               : 0);
+  report.u64(fetch_retries);
   // Every realized spool fire was retried on the way to this (successful)
   // report, so the spool's retry count IS its fire count. The injector's
   // fired() delta would also pick up `spill.page_io` fires realized inside
@@ -656,15 +597,14 @@ PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
   // worker-local like every other user-code metric. `shuffle.fetch` has no
   // such aliasing — only the pull loop above calls it in a worker — so its
   // delta is exact.
-  outcome.spill_fires = outcome.spill_retries;
-  if (faults != nullptr) {
-    outcome.fetch_fires = faults->fired("shuffle.fetch") - fetch_base;
-  }
-  // Pooled dials are visible only as the pool's counter; the delta over
-  // this task is what the report attributes to it (reused connections by
-  // definition add nothing here).
-  outcome.conns_opened += state.pool.opened() - conns_base;
-  return outcome;
+  report.u64(spool_retries);  // fires
+  report.u64(spool_retries);
+  // Dials are visible only as the pool's counter; the delta over this task
+  // is what the report attributes to it (reused connections add nothing).
+  report.u64(state.pool.opened() - conns_base);
+  report.u64(num_map_tasks);  // pulls: one slice per map output
+  append_records(report, reduced.output);
+  return {MessageType::kReducePullDone, report.take()};
 }
 
 }  // namespace
@@ -696,38 +636,17 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
 
   WorkerState state;
 
-  // Heartbeats flow only while a task is executing: that is when the
-  // supervisor is blocked in the exchange's recv loop draining them, so
-  // unread frames stay bounded even between phases.
-  std::atomic<bool> busy{false};
-  std::atomic<bool> stop{false};
-  std::thread heartbeat;
-  if (options.heartbeat_ms > 0) {
-    heartbeat = std::thread([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options.heartbeat_ms));
-        if (!busy.load(std::memory_order_acquire)) continue;
-        try {
-          transport.send({MessageType::kHeartbeat, {}});
-        } catch (const std::exception&) {
-          return;  // supervisor gone; the serve loop will see EOF too
-        }
-      }
-    });
-  }
-
-  // Worker-to-worker shuffle: bind the data plane before serving the first
-  // assignment, so by the time any reducer learns this worker's address
-  // (from a partition map built after our first kMapDone) the listener is
-  // already accepting. The accept loop polls so it can observe `stop`.
+  // Bind the data plane before serving the first assignment, so by the
+  // time any reducer learns this worker's address (from a partition map
+  // built after our first kMapDone) the listener is already accepting.
+  // The accept loop blocks until a peer connects or the shutdown path
+  // wakes the listener, so a stopping worker exits without delay.
   //
-  // Each accepted peer gets its own serving thread: with pooled
-  // connections a reducer holds its conversation open across many pulls,
-  // and a serve-one-peer-to-EOF loop would park every other reducer behind
-  // it. The peer registry lets shutdown wake threads blocked in recv via
-  // shutdown_rw (close() would be unsafe cross-thread — the fd could be
-  // reused under the reader).
+  // Each accepted peer gets its own serving thread: a reducer holds its
+  // pooled connection open across many pulls, and a serve-one-peer-to-EOF
+  // loop would park every other reducer behind it. The peer registry lets
+  // shutdown wake threads blocked in recv via shutdown_rw (close() would
+  // be unsafe cross-thread — the fd could be reused under the reader).
   std::unique_ptr<ipc::Listener> data_listener;
   std::thread data_server;
   std::mutex peers_mutex;
@@ -736,17 +655,17 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
   if (!options.data_socket_path.empty()) {
     data_listener = std::make_unique<ipc::Listener>(options.data_socket_path);
     data_server = std::thread([&] {
-      while (!stop.load(std::memory_order_acquire)) {
+      while (true) {
         std::unique_ptr<ipc::Transport> peer;
         try {
-          peer = data_listener->try_accept(100);
+          peer = data_listener->accept_until_woken();
         } catch (const std::exception& error) {
           DASC_LOG(kWarn) << "worker " << options.ordinal
                           << ": data-plane listener failed: "
                           << error.what();
           return;
         }
-        if (peer == nullptr) continue;
+        if (peer == nullptr) return;  // the worker is stopping
         std::lock_guard lock(peers_mutex);
         live_peers.push_back(peer.get());
         peer_threads.emplace_back(
@@ -769,8 +688,30 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
     });
   }
 
+  // Heartbeats flow only while a task is executing: that is when the
+  // supervisor is blocked in the exchange's recv loop draining them, so
+  // unread frames stay bounded even between phases.
+  std::atomic<bool> busy{false};
+  std::atomic<bool> stop{false};
+  std::thread heartbeat;
+  if (options.heartbeat_ms > 0) {
+    heartbeat = std::thread([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(options.heartbeat_ms));
+        if (!busy.load(std::memory_order_acquire)) continue;
+        try {
+          transport.send({MessageType::kHeartbeat, {}});
+        } catch (const std::exception&) {
+          return;  // supervisor gone; the serve loop will see EOF too
+        }
+      }
+    });
+  }
+
   const auto join_threads = [&] {
     stop.store(true, std::memory_order_release);
+    if (data_listener != nullptr) data_listener->wake();
     if (heartbeat.joinable()) heartbeat.join();
     if (data_server.joinable()) data_server.join();
     // No new peer threads can spawn now; our own outbound pool closes
@@ -784,120 +725,43 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
     for (std::thread& thread : peer_threads) thread.join();
   };
 
-  const auto reply_error = [&](std::uint64_t task, const char* where,
-                               const std::exception& error) {
-    WireWriter writer;
-    writer.u64(task);
-    writer.bytes(std::string(where) + ": " + error.what());
-    transport.send({MessageType::kTaskError, writer.take()});
+  // Run one assigned task with heartbeats flowing and ship its reply; a
+  // failure becomes the task's kTaskError and the loop keeps serving.
+  const auto run_task = [&](const Message& assignment, const char* where,
+                            const auto& execute) {
+    WireReader reader(assignment.payload);
+    const std::uint64_t task = reader.u64();
+    busy.store(true, std::memory_order_release);
+    try {
+      ipc::send_message(transport, execute(task, reader));
+    } catch (const std::exception& error) {
+      WireWriter writer;
+      writer.u64(task);
+      writer.bytes(std::string(where) + ": " + error.what());
+      transport.send({MessageType::kTaskError, writer.take()});
+    }
+    busy.store(false, std::memory_order_release);
   };
 
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
   try {
     bool serving = true;
     while (serving) {
-      std::optional<Message> message = ipc::recv_message(transport, stream);
+      std::optional<Message> message = ipc::recv_message(transport);
       if (!message.has_value()) break;  // supervisor closed or died
       switch (message->type) {
-        case MessageType::kMapAssign: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          busy.store(true, std::memory_order_release);
-          try {
-            const std::vector<Record> input = read_records(reader);
-            detail::MapTaskResult mapped = detail::execute_map_task(
-                job.mapper_factory, job.combiner_factory,
-                job.use_combiner && job.combiner_factory != nullptr, input);
-            WireWriter writer;
-            writer.u64(task);
-            writer.u64(mapped.emitted);
-            writer.u64(mapped.combined);
-            writer.u64(mapped.output.size());
-            {
-              std::lock_guard lock(state.outputs_mutex);
-              state.map_outputs[task] = std::move(mapped.output);
-            }
-            transport.send({MessageType::kMapDone, writer.take()});
-          } catch (const std::exception& error) {
-            reply_error(task, "map", error);
-          }
-          busy.store(false, std::memory_order_release);
+        case MessageType::kMapAssign:
+          run_task(*message, "map",
+                   [&](std::uint64_t task, WireReader& reader) {
+                     return run_map_task(job, state, task, reader);
+                   });
           break;
-        }
-        case MessageType::kFetch: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          WireWriter writer;
-          {
-            std::lock_guard lock(state.outputs_mutex);
-            const auto it = state.map_outputs.find(task);
-            if (it == state.map_outputs.end()) {
-              reply_error(task, "fetch",
-                          IoError("map output not resident on this worker"));
-              break;
-            }
-            writer.u64(task);
-            writer.u32(records_crc(it->second));
-            writer.u64(it->second.size());
-            append_records(writer, it->second);
-          }
-          ipc::send_message(transport,
-                            {MessageType::kFetchData, writer.take()}, stream);
+        case MessageType::kReducePull:
+          run_task(*message, "reduce_pull",
+                   [&](std::uint64_t task, WireReader& reader) {
+                     return run_reduce_pull(transport, job, options, state,
+                                            task, reader);
+                   });
           break;
-        }
-        case MessageType::kReduceAssign: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          busy.store(true, std::memory_order_release);
-          try {
-            detail::ReduceTaskResult reduced = detail::execute_reduce_records(
-                job.reducer_factory, read_records(reader));
-            WireWriter writer;
-            writer.u64(task);
-            writer.u64(reduced.num_groups);
-            writer.u64(reduced.in_records);
-            writer.u64(reduced.output.size());
-            append_records(writer, reduced.output);
-            ipc::send_message(
-                transport, {MessageType::kReduceDone, writer.take()}, stream);
-          } catch (const std::exception& error) {
-            reply_error(task, "reduce", error);
-          }
-          busy.store(false, std::memory_order_release);
-          break;
-        }
-        case MessageType::kReducePull: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          busy.store(true, std::memory_order_release);
-          try {
-            PullOutcome outcome =
-                run_reduce_pull(transport, job, options, state, task, reader);
-            WireWriter writer;
-            writer.u64(task);
-            writer.u64(outcome.reduced.num_groups);
-            writer.u64(outcome.reduced.in_records);
-            writer.u64(outcome.reduced.output.size());
-            writer.u64(outcome.record_bytes);
-            writer.u64(outcome.spill_bytes_written);
-            writer.u64(outcome.spill_bytes_read);
-            writer.u64(outcome.spill_pages);
-            writer.u64(outcome.fetch_fires);
-            writer.u64(outcome.fetch_retries);
-            writer.u64(outcome.spill_fires);
-            writer.u64(outcome.spill_retries);
-            writer.u64(outcome.conns_opened);
-            writer.u64(outcome.pulls);
-            append_records(writer, outcome.reduced.output);
-            ipc::send_message(
-                transport, {MessageType::kReducePullDone, writer.take()},
-                stream);
-          } catch (const std::exception& error) {
-            reply_error(task, "reduce_pull", error);
-          }
-          busy.store(false, std::memory_order_release);
-          break;
-        }
         case MessageType::kTaskCancel: {
           // A retained attempt of ours lost the commit race (DESIGN.md
           // section 15): drop the losing map output so no reducer can pull
@@ -949,8 +813,7 @@ namespace {
 class WorkerExchange {
  public:
   WorkerExchange(ipc::WorkerSupervisor& supervisor, MetricsRegistry* metrics)
-      : supervisor_(supervisor), metrics_(metrics),
-        stream_config_(ipc::adaptive_stream_config()) {
+      : supervisor_(supervisor), metrics_(metrics) {
     interloper_ = [this](const Message& frame) {
       if (frame.type == MessageType::kHeartbeat) {
         note_heartbeat();
@@ -985,20 +848,22 @@ class WorkerExchange {
                    bool kill_after_send,
                    const std::function<bool(const Message&)>& handle) {
     std::lock_guard lock(supervisor_.exchange_mutex(slot));
-    try {
-      ipc::send_message(supervisor_.transport(slot), request, stream_config_,
-                        interloper_);
-    } catch (const std::exception&) {
-      supervisor_.mark_dead(slot);
-      throw IoError("ipc: worker " + std::to_string(slot) +
-                    " unreachable (send failed)");
-    }
+    return converse_locked(slot, request, kill_after_send, handle);
+  }
+
+  /// converse() for a handler already inside a conversation with `slot`,
+  /// which holds the slot's exchange mutex: the kPullFailed recovery's
+  /// nested kMapAssign round trip.
+  Message converse_locked(std::size_t slot, const Message& request,
+                          bool kill_after_send,
+                          const std::function<bool(const Message&)>& handle) {
+    send_locked(slot, request);
     if (kill_after_send) supervisor_.kill_worker(slot);
     while (true) {
       std::optional<Message> reply;
       try {
-        reply = ipc::recv_message(supervisor_.transport(slot),
-                                  stream_config_, interloper_);
+        reply = ipc::recv_message(supervisor_.transport(slot), {},
+                                  interloper_);
       } catch (const IoError&) {
         supervisor_.mark_dead(slot);
         throw;
@@ -1012,7 +877,25 @@ class WorkerExchange {
         note_heartbeat();
         continue;
       }
-      if (handle(*reply)) return *std::move(reply);
+      if (handle(*reply)) {
+#ifndef NDEBUG
+        expect_drained(slot);
+#endif
+        return *std::move(reply);
+      }
+    }
+  }
+
+  /// Ship one message to `slot` inside a conversation the caller holds;
+  /// a failed send marks the worker dead.
+  void send_locked(std::size_t slot, const Message& message) {
+    try {
+      ipc::send_message(supervisor_.transport(slot), message, {},
+                        interloper_);
+    } catch (const std::exception&) {
+      supervisor_.mark_dead(slot);
+      throw IoError("ipc: worker " + std::to_string(slot) +
+                    " unreachable (send failed)");
     }
   }
 
@@ -1041,31 +924,87 @@ class WorkerExchange {
     if (metrics_ != nullptr) metrics_->gauge("worker.heartbeats").add(1);
   }
 
-  const ipc::StreamConfig& stream_config() const { return stream_config_; }
-  const std::function<void(const Message&)>& interloper() const {
-    return interloper_;
+ private:
+#ifndef NDEBUG
+  /// A reply ends its conversation on the wire: anything but a heartbeat
+  /// queued behind it (a stray kChunkAck, say) would be misread as the
+  /// next conversation's reply. EOF is fine — the worker was killed after
+  /// it replied.
+  void expect_drained(std::size_t slot) {
+    ipc::Transport& transport = supervisor_.transport(slot);
+    pollfd pending{transport.fd(), POLLIN, 0};
+    while (::poll(&pending, 1, 0) > 0) {
+      std::optional<Message> frame;
+      try {
+        frame = transport.recv();
+      } catch (const IoError&) {
+        return;  // torn by a kill; the next conversation reports it
+      }
+      if (!frame.has_value()) return;
+      DASC_ENSURE(frame->type == MessageType::kHeartbeat,
+                  "ipc: worker left a frame on the wire after its reply");
+      note_heartbeat();
+    }
+  }
+#endif
+
+  ipc::WorkerSupervisor& supervisor_;
+  MetricsRegistry* metrics_ = nullptr;
+  std::function<void(const Message&)> interloper_;
+};
+
+/// Which worker each attempt of one phase's tasks runs on. Retries shift
+/// to the next live slot; a speculative backup runs concurrently with its
+/// primary's retries, so the shifts are atomics. attempt_slot_ holds the
+/// slot each task's latest primary attempt dispatched to — what a backup
+/// must avoid — seeded from the placement plan so a backup launched while
+/// the primary is still pre-dispatch (stalled in fault injection) avoids
+/// the slot the primary is about to use.
+class PhaseSlots {
+ public:
+  PhaseSlots(WorkerExchange& exchange,
+             const std::vector<std::size_t>& placement)
+      : exchange_(exchange), placement_(placement),
+        shift_(std::make_unique<std::atomic<std::size_t>[]>(placement.size())),
+        attempt_slot_(
+            std::make_unique<std::atomic<std::size_t>[]>(placement.size())) {
+    for (std::size_t t = 0; t < placement.size(); ++t) {
+      shift_[t].store(0, std::memory_order_relaxed);
+      attempt_slot_[t].store(placement[t], std::memory_order_relaxed);
+    }
+  }
+
+  /// The slot for one attempt of `task`; a backup avoids the primary's.
+  std::size_t pick(std::size_t task, bool backup) {
+    const std::size_t shift = shift_[task].load(std::memory_order_acquire);
+    if (backup) {
+      return exchange_.pick_worker(
+          task, placement_, shift,
+          attempt_slot_[task].load(std::memory_order_acquire));
+    }
+    const std::size_t slot = exchange_.pick_worker(task, placement_, shift);
+    attempt_slot_[task].store(slot, std::memory_order_release);
+    return slot;
+  }
+
+  /// The attempt's worker failed; the next attempt tries another.
+  void shift(std::size_t task) {
+    shift_[task].fetch_add(1, std::memory_order_acq_rel);
   }
 
  private:
-  ipc::WorkerSupervisor& supervisor_;
-  MetricsRegistry* metrics_ = nullptr;
-  ipc::StreamConfig stream_config_;
-  std::function<void(const Message&)> interloper_;
+  WorkerExchange& exchange_;
+  const std::vector<std::size_t>& placement_;
+  std::unique_ptr<std::atomic<std::size_t>[]> shift_;
+  std::unique_ptr<std::atomic<std::size_t>[]> attempt_slot_;
 };
 
 }  // namespace
 
 JobResult run_job_multiproc(const JobSpec& spec,
                             std::vector<std::vector<Record>> splits) {
-  // Speculative execution runs for real here: a backup attempt is
-  // dispatched to a *different* live worker than the straggling primary's
-  // current slot, the commit-once exchange in run_task_phase arbitrates
-  // which attempt's report lands, and the loser's worker receives a
-  // kTaskCancel so its retained side effects (map output, spool files)
-  // are discarded — DESIGN.md section 15.
   JobSpec mp = spec;
   const JobConf& conf = mp.conf;
-  const bool w2w = conf.shuffle_mode == ShuffleMode::kWorkerToWorker;
 
   Stopwatch total_clock;
   JobResult result;
@@ -1080,22 +1019,19 @@ JobResult run_job_multiproc(const JobSpec& spec,
   const bool use_combiner =
       conf.enable_combiner && mp.combiner_factory != nullptr;
 
-  // Worker-to-worker shuffle: every provisioned slot (spares included)
-  // gets a data-plane address up front, supervisor-pid-namespaced so
-  // concurrent jobs sharing a spill_dir cannot collide.
+  // Every provisioned slot (spares included) gets a data-plane address up
+  // front, supervisor-pid-namespaced so concurrent jobs sharing a
+  // spill_dir cannot collide.
   std::vector<std::string> data_paths;
-  if (w2w) {
-    namespace fs = std::filesystem;
-    const fs::path base = conf.spill_dir.empty()
-                              ? fs::temp_directory_path()
-                              : fs::path(conf.spill_dir);
-    const std::size_t total_slots = conf.num_workers + conf.worker_spares;
-    for (std::size_t slot = 0; slot < total_slots; ++slot) {
-      data_paths.push_back(
-          (base / ("dasc-data-" + std::to_string(::getpid()) + "-" +
-                   std::to_string(slot) + ".sock"))
-              .string());
-    }
+  const std::filesystem::path data_dir =
+      conf.spill_dir.empty() ? std::filesystem::temp_directory_path()
+                             : std::filesystem::path(conf.spill_dir);
+  for (std::size_t slot = 0; slot < conf.num_workers + conf.worker_spares;
+       ++slot) {
+    data_paths.push_back((data_dir / ("dasc-data-" +
+                                      std::to_string(::getpid()) + "-" +
+                                      std::to_string(slot) + ".sock"))
+                             .string());
   }
 
   // ---- Launch the workers (before any job threads exist: fork safety) ----
@@ -1127,9 +1063,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
       WorkerOptions options;
       options.ordinal = slot;
       options.heartbeat_ms = heartbeat_ms;
-      if (slot < data_paths.size()) {
-        options.data_socket_path = data_paths[slot];
-      }
+      options.data_socket_path = data_paths[slot];
       options.faults = faults;
       serve_worker_loop(transport, job, options);
     };
@@ -1142,8 +1076,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
                   << supervisor.primaries() << "+"
                   << (supervisor.provisioned() - supervisor.primaries())
                   << " worker processes ("
-                  << (exec_mode ? conf.worker_binary : "forked") << ", "
-                  << to_string(conf.shuffle_mode) << " shuffle)";
+                  << (exec_mode ? conf.worker_binary : "forked") << ")";
 
   if (exec_mode) {
     // Exec'd binaries reconstruct the job from the registry; every slot
@@ -1154,8 +1087,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
       writer.u64(conf.heartbeat_interval_ms);
       writer.u32(use_combiner ? 1 : 0);
       writer.bytes(conf.job_name);
-      writer.bytes(slot < data_paths.size() ? data_paths[slot]
-                                            : std::string());
+      writer.bytes(data_paths[slot]);
       writer.bytes(mp.faults != nullptr ? mp.faults->plan().to_string()
                                         : std::string());
       supervisor.transport(slot).send(
@@ -1187,27 +1119,8 @@ JobResult run_job_multiproc(const JobSpec& spec,
   // attempt the entry's only writer, and the phases are separated by the
   // pool join.)
   std::mutex owner_mutex;
-  // Retries shift to the next live slot. A speculative backup runs
-  // concurrently with its primary's retries, so the shifts are atomics.
-  const auto map_shift =
-      std::make_unique<std::atomic<std::size_t>[]>(splits.size());
-  // The slot each task's latest primary attempt dispatched to — what a
-  // backup must avoid. Seeded from the placement plan so a backup launched
-  // while the primary is still pre-dispatch (stalled in fault injection)
-  // avoids the slot the primary is about to use.
-  const auto map_attempt_slot =
-      std::make_unique<std::atomic<std::size_t>[]>(splits.size());
-  for (std::size_t t = 0; t < splits.size(); ++t) {
-    map_shift[t].store(0, std::memory_order_relaxed);
-    map_attempt_slot[t].store(result.map_task_workers[t],
-                              std::memory_order_relaxed);
-  }
-  const auto reduce_attempt_slot =
-      std::make_unique<std::atomic<std::size_t>[]>(conf.num_reducers);
-  for (std::size_t t = 0; t < conf.num_reducers; ++t) {
-    reduce_attempt_slot[t].store(result.reduce_task_workers[t],
-                                 std::memory_order_relaxed);
-  }
+  PhaseSlots map_slots(exchange, result.map_task_workers);
+  PhaseSlots reduce_slots(exchange, result.reduce_task_workers);
 
   // ---- Commit arbitration cleanup (DESIGN.md section 15) ----
   // A losing attempt's abandon closure only *queues* the cancel: at the
@@ -1279,18 +1192,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
       mp, splits.size(), "map.task", "retry.map_attempts", failed_attempts,
       speculative_launches, result.map_task_seconds,
       [&](std::size_t task, bool backup) -> detail::TaskAttempt {
-        std::size_t slot;
-        if (backup) {
-          slot = exchange.pick_worker(
-              task, result.map_task_workers,
-              map_shift[task].load(std::memory_order_acquire),
-              map_attempt_slot[task].load(std::memory_order_acquire));
-        } else {
-          slot = exchange.pick_worker(
-              task, result.map_task_workers,
-              map_shift[task].load(std::memory_order_acquire));
-          map_attempt_slot[task].store(slot, std::memory_order_release);
-        }
+        const std::size_t slot = map_slots.pick(task, backup);
         WireWriter writer;
         writer.u64(task);
         append_records(writer, splits[task]);
@@ -1299,8 +1201,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
           reply = exchange.call(slot, {MessageType::kMapAssign, writer.take()},
                                 kill_fires());
         } catch (const IoError&) {
-          // The next attempt tries another worker.
-          map_shift[task].fetch_add(1, std::memory_order_acq_rel);
+          map_slots.shift(task);
           throw;
         }
         if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
@@ -1334,134 +1235,6 @@ JobResult run_job_multiproc(const JobSpec& spec,
   result.counters.combine_input_records = combine_in.load();
   result.counters.combine_output_records = combine_out.load();
 
-  // ---- Gather + partition (relay shuffle only) ----
-  // Fetch each map task's output from its owner in task order, verify the
-  // transfer, and build partitions exactly as fetch_and_partition does —
-  // same record order, same `shuffle.fetch` call sequence, same
-  // `retry.shuffle_fetch` accounting. A dead owner triggers deterministic
-  // map re-execution on the next live slot (worker.map_reexecutions
-  // gauge, not a counter: how often it happens depends on which phase of
-  // the exchange a killed worker died in).
-  //
-  // conf.spill_budget_bytes governs the in-process executor's shuffle
-  // only: here every partition must be serialized whole into a
-  // kReduceAssign anyway, so the gather stays in supervisor RAM. The
-  // worker-to-worker topology exists to break exactly this residency —
-  // it skips the gather entirely and reducers spool their own partitions.
-  const auto fetch_from_owner =
-      [&](std::size_t owner, std::size_t task) -> std::vector<Record> {
-    for (std::size_t attempt = 1;; ++attempt) {
-      const FaultInjector::Outcome outcome =
-          mp.faults != nullptr ? mp.faults->check("shuffle.fetch")
-                               : FaultInjector::Outcome::kNone;
-      bool ok = outcome != FaultInjector::Outcome::kError;
-      std::vector<Record> fetched;
-      std::uint32_t expected = 0;
-      if (ok) {
-        WireWriter writer;
-        writer.u64(task);
-        Message reply =
-            exchange.call(owner, {MessageType::kFetch, writer.take()});
-        if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-        DASC_ENSURE(reply.type == MessageType::kFetchData,
-                    "ipc: unexpected reply to kFetch");
-        WireReader reader(reply.payload);
-        DASC_ENSURE(reader.u64() == task, "ipc: kFetchData task mismatch");
-        expected = reader.u32();
-        const std::uint64_t count = reader.u64();
-        fetched = read_records(reader);
-        DASC_ENSURE(fetched.size() == count,
-                    "ipc: kFetchData record count mismatch");
-        if (outcome == FaultInjector::Outcome::kCorruption) {
-          // Flip one byte of the transfer; the CRC check catches it. An
-          // empty transfer has nothing to flip — fail the attempt.
-          ok = flip_one_byte(fetched) && records_crc(fetched) == expected;
-        } else {
-          ok = records_crc(fetched) == expected;
-        }
-      }
-      if (ok) return fetched;
-      if (attempt >= conf.max_fetch_attempts) {
-        throw IoError("shuffle: fetch of map output " + std::to_string(task) +
-                      " failed after " +
-                      std::to_string(conf.max_fetch_attempts) + " attempts");
-      }
-      if (mp.metrics != nullptr) {
-        mp.metrics->counter("retry.shuffle_fetch").add();
-      }
-      DASC_LOG(kWarn) << "shuffle: re-fetching map output " << task
-                      << " (attempt " << attempt << " failed verification)";
-    }
-  };
-
-  const auto reexecute_map_task = [&](std::size_t task) {
-    const std::size_t shift =
-        map_shift[task].fetch_add(1, std::memory_order_acq_rel) + 1;
-    const std::size_t slot =
-        exchange.pick_worker(task, result.map_task_workers, shift);
-    DASC_LOG(kWarn) << conf.job_name << ": re-executing map task " << task
-                    << " on worker " << slot << " (output owner died)";
-    if (mp.metrics != nullptr) {
-      mp.metrics->gauge("worker.map_reexecutions").add(1);
-    }
-    WireWriter writer;
-    writer.u64(task);
-    append_records(writer, splits[task]);
-    const Message reply =
-        exchange.call(slot, {MessageType::kMapAssign, writer.take()});
-    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-    DASC_ENSURE(reply.type == MessageType::kMapDone,
-                "ipc: unexpected reply to kMapAssign (re-execution)");
-    // The task already committed its counters; only the output moved.
-    map_owner[task] = slot;
-  };
-
-  const auto fetch_verified = [&](std::size_t task) -> std::vector<Record> {
-    // Each round either fetches or loses one more worker; provisioned()+1
-    // rounds bound the loop before "no live workers" surfaces naturally.
-    for (std::size_t round = 0; round <= supervisor.provisioned(); ++round) {
-      try {
-        if (map_owner[task] == kNoOwner ||
-            !supervisor.alive(map_owner[task])) {
-          reexecute_map_task(task);
-        }
-        return fetch_from_owner(map_owner[task], task);
-      } catch (const IoError&) {
-        // A live owner means the transfer itself never verified (injected
-        // faults exhausted max_fetch_attempts): fatal, as in-process. A
-        // dead one means the owner (or the re-execution target) died
-        // mid-conversation: drop the owner and go again.
-        if (map_owner[task] != kNoOwner &&
-            supervisor.alive(map_owner[task])) {
-          throw;
-        }
-        map_owner[task] = kNoOwner;
-      }
-    }
-    throw IoError("shuffle: could not gather map output " +
-                  std::to_string(task));
-  };
-
-  std::vector<std::vector<Record>> partitions(conf.num_reducers);
-  if (!w2w) {
-    ScopedTimer shuffle_timer(mp.metrics, "mapreduce.shuffle");
-    for (std::size_t task = 0; task < splits.size(); ++task) {
-      std::vector<Record> fetched = fetch_verified(task);
-      for (auto& record : fetched) {
-        partitions[partition_for_key(record.key, conf.num_reducers)]
-            .push_back(std::move(record));
-      }
-    }
-    result.counters.shuffle_bytes = shuffle_bytes(partitions);
-    if (mp.metrics != nullptr) {
-      // Shuffle bytes that physically moved through the supervisor — the
-      // residency the worker-to-worker topology eliminates (its jobs
-      // leave this gauge untouched; bench_multiproc gates the ratio).
-      mp.metrics->gauge("shuffle.relay_bytes")
-          .add(static_cast<std::int64_t>(result.counters.shuffle_bytes));
-    }
-  }
-
   // ---- Reduce phase ----
   result.reduce_task_seconds.assign(conf.num_reducers, 0.0);
   std::vector<std::vector<Record>> reduce_outputs(conf.num_reducers);
@@ -1469,66 +1242,6 @@ JobResult run_job_multiproc(const JobSpec& spec,
   std::atomic<std::uint64_t> reduce_in{0};
   std::atomic<std::uint64_t> reduce_out{0};
   std::atomic<std::uint64_t> pulled_shuffle_bytes{0};
-  const auto reduce_shift =
-      std::make_unique<std::atomic<std::size_t>[]>(conf.num_reducers);
-  for (std::size_t t = 0; t < conf.num_reducers; ++t) {
-    reduce_shift[t].store(0, std::memory_order_relaxed);
-  }
-
-  // Picks the worker for one reduce attempt, with the same backup
-  // avoid-the-primary rule as the map phase.
-  const auto pick_reduce_slot = [&](std::size_t task, bool backup) {
-    if (backup) {
-      return exchange.pick_worker(
-          task, result.reduce_task_workers,
-          reduce_shift[task].load(std::memory_order_acquire),
-          reduce_attempt_slot[task].load(std::memory_order_acquire));
-    }
-    const std::size_t slot = exchange.pick_worker(
-        task, result.reduce_task_workers,
-        reduce_shift[task].load(std::memory_order_acquire));
-    reduce_attempt_slot[task].store(slot, std::memory_order_release);
-    return slot;
-  };
-
-  // Relay topology: ship the supervisor-resident partition whole.
-  const detail::TaskBody reduce_relay_body =
-      [&](std::size_t task, bool backup) -> detail::TaskAttempt {
-    const std::size_t slot = pick_reduce_slot(task, backup);
-    WireWriter writer;
-    writer.u64(task);
-    append_records(writer, partitions[task]);
-    Message reply;
-    try {
-      reply = exchange.call(
-          slot, {MessageType::kReduceAssign, writer.take()},
-          kill_fires());
-    } catch (const IoError&) {
-      reduce_shift[task].fetch_add(1, std::memory_order_acq_rel);
-      throw;
-    }
-    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-    DASC_ENSURE(reply.type == MessageType::kReduceDone,
-                "ipc: unexpected reply to kReduceAssign");
-    WireReader reader(reply.payload);
-    DASC_ENSURE(reader.u64() == task, "ipc: kReduceDone task mismatch");
-    const std::uint64_t num_groups = reader.u64();
-    const std::uint64_t in_records = reader.u64();
-    const std::uint64_t out_count = reader.u64();
-    std::vector<Record> out = read_records(reader);
-    DASC_ENSURE(out.size() == out_count,
-                "ipc: kReduceDone record count mismatch");
-    return {[&, task, num_groups, in_records,
-             out = std::move(out)]() mutable {
-              reduce_groups.fetch_add(num_groups, std::memory_order_relaxed);
-              reduce_in.fetch_add(in_records, std::memory_order_relaxed);
-              reduce_out.fetch_add(out.size(), std::memory_order_relaxed);
-              reduce_outputs[task] = std::move(out);
-            },
-            [&queue_cancel, task, slot] {
-              queue_cancel(/*kind=*/1, task, slot);
-            }};
-  };
 
   // Worker-to-worker recovery (DESIGN.md section 14): a reducer reported
   // a dead map-output owner mid-pull. Retire the owner for real (it is
@@ -1558,68 +1271,35 @@ JobResult run_job_multiproc(const JobSpec& spec,
     if (mp.metrics != nullptr) {
       mp.metrics->gauge("worker.map_reexecutions").add(1);
     }
-    ipc::Transport& transport = supervisor.transport(reducer_slot);
     WireWriter writer;
     writer.u64(map_task);
     append_records(writer, splits[map_task]);
-    try {
-      ipc::send_message(transport, {MessageType::kMapAssign, writer.take()},
-                        exchange.stream_config(), exchange.interloper());
-    } catch (const std::exception&) {
-      supervisor.mark_dead(reducer_slot);
-      throw IoError("ipc: worker " + std::to_string(reducer_slot) +
-                    " unreachable (send failed)");
-    }
-    while (true) {
-      std::optional<Message> reply;
-      try {
-        reply = ipc::recv_message(transport, exchange.stream_config(),
-                                  exchange.interloper());
-      } catch (const IoError&) {
-        supervisor.mark_dead(reducer_slot);
-        throw;
-      }
-      if (!reply.has_value()) {
-        supervisor.mark_dead(reducer_slot);
-        throw IoError("ipc: worker " + std::to_string(reducer_slot) +
-                      " died mid-task (connection closed)");
-      }
-      if (reply->type == MessageType::kHeartbeat) {
-        exchange.note_heartbeat();
-        continue;
-      }
-      // The worker reports the re-execution's failure as the reduce
-      // task's one kTaskError; the attempt fails and retries cleanly.
-      if (reply->type == MessageType::kTaskError) {
-        rethrow_task_error(*reply);
-      }
-      DASC_ENSURE(reply->type == MessageType::kMapDone,
-                  "ipc: unexpected reply to kMapAssign (pull recovery)");
-      WireReader done(reply->payload);
-      DASC_ENSURE(done.u64() == map_task,
-                  "ipc: kMapDone task mismatch (pull recovery)");
-      break;
-    }
+    // The worker reports the re-execution's failure as the reduce task's
+    // one kTaskError; the attempt fails and retries cleanly.
+    const Message done = exchange.converse_locked(
+        reducer_slot, {MessageType::kMapAssign, writer.take()},
+        /*kill_after_send=*/false, [](const Message&) { return true; });
+    if (done.type == MessageType::kTaskError) rethrow_task_error(done);
+    DASC_ENSURE(done.type == MessageType::kMapDone,
+                "ipc: unexpected reply to kMapAssign (pull recovery)");
+    WireReader done_reader(done.payload);
+    DASC_ENSURE(done_reader.u64() == map_task,
+                "ipc: kMapDone task mismatch (pull recovery)");
     {
       std::lock_guard lock(owner_mutex);
       map_owner[map_task] = reducer_slot;
     }
     WireWriter resume;
     resume.u64(map_task);
-    try {
-      transport.send({MessageType::kPullResume, resume.take()});
-    } catch (const std::exception&) {
-      supervisor.mark_dead(reducer_slot);
-      throw IoError("ipc: worker " + std::to_string(reducer_slot) +
-                    " unreachable (send failed)");
-    }
+    exchange.send_locked(reducer_slot,
+                         {MessageType::kPullResume, resume.take()});
   };
 
-  // Worker-to-worker topology: ship the partition map, let the reducer
-  // pull and spool its own partition, then absorb its report.
+  // Ship the partition map, let the reducer pull and spool its own
+  // partition, then absorb its report.
   const detail::TaskBody reduce_pull_body =
       [&](std::size_t task, bool backup) -> detail::TaskAttempt {
-    const std::size_t slot = pick_reduce_slot(task, backup);
+    const std::size_t slot = reduce_slots.pick(task, backup);
     WireWriter writer;
     writer.u64(task);
     writer.u64(conf.num_reducers);
@@ -1627,16 +1307,12 @@ JobResult run_job_multiproc(const JobSpec& spec,
     writer.u64(conf.spill_budget_bytes);
     writer.bytes(conf.spill_dir);
     writer.u64(conf.max_fetch_attempts);
-    writer.u32(conf.pool_data_connections ? 1 : 0);
-    writer.u32(static_cast<std::uint32_t>(conf.pull_pipeline_depth));
     {
       std::lock_guard lock(owner_mutex);
       for (std::size_t m = 0; m < splits.size(); ++m) {
         const std::size_t owner = map_owner[m];
         writer.u64(static_cast<std::uint64_t>(owner));
-        writer.bytes(owner != kNoOwner && owner < data_paths.size()
-                         ? data_paths[owner]
-                         : std::string());
+        writer.bytes(owner != kNoOwner ? data_paths[owner] : std::string());
       }
     }
     Message reply;
@@ -1651,7 +1327,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
             return true;
           });
     } catch (const IoError&) {
-      reduce_shift[task].fetch_add(1, std::memory_order_acq_rel);
+      reduce_slots.shift(task);
       throw;
     }
     if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
@@ -1686,44 +1362,32 @@ JobResult run_job_multiproc(const JobSpec& spec,
                                      std::memory_order_relaxed);
       reduce_outputs[task] = std::move(out);
       // Re-home the committing attempt's worker-side accounting so the
-      // supervisor's registry and injector read the same as a relay run:
+      // supervisor's registry and injector read as if it pulled itself:
       // spill gauges accumulate, retry counters count, and every
       // reported fire lands in fault.injected.<site>. (A failed
       // attempt's report is discarded with the attempt — fires, retries,
       // and spill work vanish together, keeping the views consistent.)
       if (mp.metrics != nullptr) {
-        if (spill_written > 0) {
-          mp.metrics->gauge("spill.bytes_written")
-              .add(static_cast<std::int64_t>(spill_written));
-        }
-        if (spill_read > 0) {
-          mp.metrics->gauge("spill.bytes_read")
-              .add(static_cast<std::int64_t>(spill_read));
-        }
-        if (spill_pages > 0) {
-          mp.metrics->gauge("spill.pages")
-              .add(static_cast<std::int64_t>(spill_pages));
-        }
-        if (fetch_retries > 0) {
-          mp.metrics->counter("retry.shuffle_fetch")
-              .add(static_cast<std::int64_t>(fetch_retries));
-        }
-        if (spill_retries > 0) {
-          mp.metrics->counter("retry.spill_page_io")
-              .add(static_cast<std::int64_t>(spill_retries));
-        }
+        const auto absorb = [&](bool counter, const char* name,
+                                std::uint64_t value) {
+          const auto delta = static_cast<std::int64_t>(value);
+          if (delta == 0) return;
+          if (counter) {
+            mp.metrics->counter(name).add(delta);
+          } else {
+            mp.metrics->gauge(name).add(delta);
+          }
+        };
+        absorb(false, "spill.bytes_written", spill_written);
+        absorb(false, "spill.bytes_read", spill_read);
+        absorb(false, "spill.pages", spill_pages);
+        absorb(true, "retry.shuffle_fetch", fetch_retries);
+        absorb(true, "retry.spill_page_io", spill_retries);
         // Connection economics are scheduling-shaped (how many distinct
         // owners a reducer pulls from, pool reuse across its tasks), so
-        // they are gauges; bench_multiproc gates the dials-per-pull
-        // ratio.
-        if (conns_opened > 0) {
-          mp.metrics->gauge("shuffle.conns_opened")
-              .add(static_cast<std::int64_t>(conns_opened));
-        }
-        if (pulls > 0) {
-          mp.metrics->gauge("shuffle.pulls")
-              .add(static_cast<std::int64_t>(pulls));
-        }
+        // they are gauges; bench_multiproc gates the dials-per-pull ratio.
+        absorb(false, "shuffle.conns_opened", conns_opened);
+        absorb(false, "shuffle.pulls", pulls);
       }
       if (mp.faults != nullptr) {
         mp.faults->record_remote_fires("shuffle.fetch", fetch_fires);
@@ -1738,17 +1402,15 @@ JobResult run_job_multiproc(const JobSpec& spec,
   detail::run_task_phase(mp, conf.num_reducers, "reduce.task",
                          "retry.reduce_attempts", failed_attempts,
                          speculative_launches, result.reduce_task_seconds,
-                         w2w ? reduce_pull_body : reduce_relay_body);
+                         reduce_pull_body);
   // Losing reduce attempts have no retained output (their reports were
   // discarded with the attempt), but their spool files still get swept.
   flush_cancels();
 
-  if (w2w) {
-    // The reducers moved the shuffle bytes; the supervisor only tallies
-    // them. Same key+value+2 convention as the relay gather, so the
-    // counter is topology- and worker-count-invariant.
-    result.counters.shuffle_bytes = pulled_shuffle_bytes.load();
-  }
+  // The reducers moved the shuffle bytes; the supervisor only tallies
+  // them. Same key+value+2 convention as the in-process shuffle, so the
+  // counter is execution-mode- and worker-count-invariant.
+  result.counters.shuffle_bytes = pulled_shuffle_bytes.load();
 
   result.counters.reduce_input_groups = reduce_groups.load();
   result.counters.reduce_input_records = reduce_in.load();

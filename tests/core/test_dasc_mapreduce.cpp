@@ -181,6 +181,40 @@ TEST(MapReduceDasc, DfsVariantRejectsBadInput) {
       dasc::InvalidArgument);
 }
 
+TEST(MapReduceDasc, MultiProcessLabelsMatchInProcessOnWideInput) {
+  // 64-d points as 17-digit text make the single 1000-record map split
+  // larger than 1 MiB, so map inputs and pulled slices stream as several
+  // chunks on both the control and the data plane — the payload sizes
+  // real inputs reach and small-dimension tests never do.
+  dasc::Rng data_rng(5);
+  data::MixtureParams mix;
+  mix.n = 1000;
+  mix.dim = 64;
+  mix.k = 4;
+  mix.cluster_stddev = 0.03;
+  const data::PointSet points = data::make_gaussian_mixture(mix, data_rng);
+  std::size_t split_bytes = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    split_bytes += data::point_to_record(points.point(i)).size();
+  }
+  ASSERT_GT(split_bytes, std::size_t{1} << 20);
+
+  MapReduceDascParams params;
+  params.dasc.k = 4;
+  ASSERT_GE(params.conf.split_records, points.size());  // one split
+  dasc::Rng baseline_rng(9);
+  const auto baseline = dasc_cluster_mapreduce(points, params, baseline_rng);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    params.conf.execution_mode = mapreduce::ExecutionMode::kMultiProcess;
+    params.conf.num_workers = workers;
+    dasc::Rng rng(9);
+    const auto result = dasc_cluster_mapreduce(points, params, rng);
+    EXPECT_EQ(result.labels, baseline.labels);
+    EXPECT_EQ(result.num_clusters, baseline.num_clusters);
+  }
+}
+
 TEST(MapReduceDasc, RejectsUnsupportedHashFamily) {
   const data::PointSet points = blobs(50, 2, 316);
   MapReduceDascParams params;

@@ -3,12 +3,12 @@
 // single-chunk payloads staying plain frames, mid-stream peer death as a
 // typed IoError, per-chunk and whole-payload tamper detection, chunk
 // sequencing, interloper routing, flow-control credit validation, and the
-// adaptive-config differential: payload-derived framing must be
-// byte-identical to fixed framing in every endpoint pairing, with tamper
-// detection intact.
+// conversation-level property that a finished stream leaves no frame
+// behind on either end of the socket.
 #include "ipc/stream.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
@@ -261,117 +261,49 @@ TEST(Stream, SenderSeesPeerDeathWhileAwaitingCredit) {
   EXPECT_TRUE(threw);
 }
 
-// --- Adaptive framing (derived_stream_config; DESIGN.md section 15) ---
-
-TEST(Stream, DerivedConfigStaysWithinItsDocumentedBounds) {
-  // Pure and deterministic over the whole size range: chunks 64 KiB-
-  // aligned within [256 KiB, 4 MiB], windows within [4, 16], and both ends
-  // derive identical values from the same declared size.
-  const std::uint64_t kKi = 1024;
-  for (const std::uint64_t bytes :
-       {std::uint64_t{0}, std::uint64_t{1}, 4 * kKi, 256 * kKi,
-        16 * kKi * kKi, 64 * kKi * kKi, 256 * kKi * kKi,
-        std::uint64_t{4} * kKi * kKi * kKi}) {
-    const StreamConfig derived = derived_stream_config(bytes);
-    EXPECT_GE(derived.chunk_bytes, 256 * kKi) << "bytes=" << bytes;
-    EXPECT_LE(derived.chunk_bytes, 4 * kKi * kKi) << "bytes=" << bytes;
-    EXPECT_EQ(derived.chunk_bytes % (64 * kKi), 0u) << "bytes=" << bytes;
-    EXPECT_GE(derived.window_chunks, 4u) << "bytes=" << bytes;
-    EXPECT_LE(derived.window_chunks, 16u) << "bytes=" << bytes;
-    EXPECT_FALSE(derived.adaptive);  // already resolved
-    const StreamConfig again = derived_stream_config(bytes);
-    EXPECT_EQ(derived.chunk_bytes, again.chunk_bytes);
-    EXPECT_EQ(derived.window_chunks, again.window_chunks);
-  }
-  // Small payloads keep the historical framing exactly.
-  EXPECT_EQ(derived_stream_config(0).chunk_bytes, StreamConfig{}.chunk_bytes);
-  // The window floor equals the fixed default: the fact that makes mixed
-  // adaptive/fixed pairings deadlock-free (the receiver's ack cadence can
-  // never exceed any sender's window).
-  EXPECT_EQ(derived_stream_config(std::uint64_t{1} << 32).window_chunks,
-            StreamConfig{}.window_chunks);
+/// Bytes waiting to be read on `transport`, observed without blocking.
+bool has_pending_bytes(const Transport& transport) {
+  pollfd pending{transport.fd(), POLLIN, 0};
+  return ::poll(&pending, 1, 0) > 0;
 }
 
-/// Round-trips `message` with independent sender/receiver configs and
-/// returns the received payload (so callers can diff pairings).
-std::string round_trip_mixed(const Message& message,
-                             const StreamConfig& send_config,
-                             const StreamConfig& recv_config) {
-  Pair pair;
-  std::thread sender(
-      [&] { send_message(*pair.left, message, send_config); });
-  const std::optional<Message> received =
-      recv_message(*pair.right, recv_config);
-  sender.join();
-  EXPECT_TRUE(received.has_value());
-  EXPECT_EQ(received->type, message.type);
-  return received.has_value() ? received->payload : std::string();
-}
+TEST(Stream, FinishedStreamLeavesNothingOnTheWire) {
+  // The conversation-level property: a completed send/recv pair leaves the
+  // socket idle at a message boundary in both directions, so the next
+  // request/reply on the same socket round-trips. An ack for the final
+  // chunk (payloads of exactly window_chunks x n chunks) would stay unread
+  // on the sender's end and be taken for the next reply.
+  for (const StreamConfig config :
+       {StreamConfig{/*chunk_bytes=*/64, /*window_chunks=*/4},
+        StreamConfig{/*chunk_bytes=*/64, /*window_chunks=*/1},
+        StreamConfig{}}) {
+    for (std::size_t chunks = 0; chunks <= 20; ++chunks) {
+      SCOPED_TRACE("chunk_bytes=" + std::to_string(config.chunk_bytes) +
+                   " window=" + std::to_string(config.window_chunks) +
+                   " chunks=" + std::to_string(chunks));
+      Pair pair;
+      const Message message{MessageType::kFetchData,
+                            std::string(chunks * config.chunk_bytes, 'p')};
+      std::thread sender(
+          [&] { send_message(*pair.left, message, config); });
+      const std::optional<Message> received =
+          recv_message(*pair.right, config);
+      sender.join();
+      ASSERT_TRUE(received.has_value());
+      EXPECT_EQ(received->payload, message.payload);
+      EXPECT_FALSE(has_pending_bytes(*pair.left));
+      EXPECT_FALSE(has_pending_bytes(*pair.right));
 
-TEST(Stream, AdaptiveFramingIsByteIdenticalToFixedInEveryPairing) {
-  // Differential across the boundary sizes the derivation cares about:
-  // empty, one byte, a page boundary +/- 1, the default chunk size +/- 1
-  // (the plain-frame/stream crossover), and a payload big enough that the
-  // derived chunk leaves the 256 KiB floor (1 MiB chunks, window 8).
-  const std::size_t kPage = 4096;
-  const std::size_t kChunk = 256 * 1024;
-  const std::size_t kBig = 64ul * 1024 * 1024;
-  const StreamConfig fixed;  // the historical defaults
-  for (const std::size_t size :
-       {std::size_t{0}, std::size_t{1}, kPage - 1, kPage, kPage + 1,
-        kChunk - 1, kChunk, kChunk + 1, kBig}) {
-    // Deterministic non-trivial bytes; cheap enough for the 64 MiB case.
-    std::string payload(size, '\0');
-    for (std::size_t i = 0; i < size; ++i) {
-      payload[i] = static_cast<char>((i * 2654435761u) >> 24);
+      pair.right->send({MessageType::kFetchPart, "request"});
+      const std::optional<Message> request = recv_message(*pair.left, config);
+      ASSERT_TRUE(request.has_value());
+      EXPECT_EQ(request->type, MessageType::kFetchPart);
+      pair.left->send({MessageType::kFetchData, "reply"});
+      const std::optional<Message> reply = recv_message(*pair.right, config);
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_EQ(reply->type, MessageType::kFetchData);
+      EXPECT_EQ(reply->payload, "reply");
     }
-    const Message message{MessageType::kFetchData, std::move(payload)};
-    const std::string via_fixed =
-        round_trip_mixed(message, fixed, fixed);
-    ASSERT_EQ(via_fixed, message.payload) << "size=" << size;
-    // Adaptive on both ends, and each mixed pairing: all byte-identical.
-    EXPECT_EQ(round_trip_mixed(message, adaptive_stream_config(),
-                               adaptive_stream_config()),
-              via_fixed)
-        << "size=" << size;
-    EXPECT_EQ(round_trip_mixed(message, adaptive_stream_config(), fixed),
-              via_fixed)
-        << "size=" << size;
-    EXPECT_EQ(round_trip_mixed(message, fixed, adaptive_stream_config()),
-              via_fixed)
-        << "size=" << size;
-  }
-}
-
-TEST(Stream, AdaptiveReceiverStillFailsTamperedStreamsTyped) {
-  const StreamConfig adaptive = adaptive_stream_config();
-  {  // whole-payload CRC tamper
-    Pair pair;
-    const std::string payload = "adaptive receiver, tampered trailer";
-    pair.left->send(encode_chunk(MessageType::kFetchData, payload.size(), 0,
-                                 payload));
-    pair.left->send(encode_stream_end(MessageType::kFetchData,
-                                      payload.size(), 1,
-                                      crc32(payload) ^ 0x1));
-    EXPECT_THROW(recv_message(*pair.right, adaptive), IoError);
-  }
-  {  // peer death mid-stream
-    Pair pair;
-    pair.left->send(encode_chunk(MessageType::kFetchData, 100, 0, "opening"));
-    pair.left->close();
-    EXPECT_THROW(recv_message(*pair.right, adaptive), IoError);
-  }
-  {  // out-of-sequence chunk
-    Pair pair;
-    pair.left->send(encode_chunk(MessageType::kFetchData, 100, 0, "zero"));
-    pair.left->send(encode_chunk(MessageType::kFetchData, 100, 2, "two?"));
-    EXPECT_THROW(recv_message(*pair.right, adaptive), IoError);
-  }
-  {  // oversized declaration still rejected before allocation
-    Pair pair;
-    pair.left->send(encode_chunk(MessageType::kFetchData,
-                                 (std::uint64_t{1} << 32) + 1, 0, "x"));
-    EXPECT_THROW(recv_message(*pair.right, adaptive), IoError);
   }
 }
 

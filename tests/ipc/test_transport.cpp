@@ -183,6 +183,27 @@ TEST(Listener, AcceptTimesOutAsIoError) {
   EXPECT_THROW(listener.accept(/*timeout_ms=*/10), IoError);
 }
 
+TEST(Listener, WakeEndsABlockedAcceptUntilWoken) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dasc-test-wake-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Listener listener(path);
+  // A peer that connects is accepted...
+  std::thread client([&] { Transport::connect(path); });
+  EXPECT_NE(listener.accept_until_woken(), nullptr);
+  client.join();
+  // ...and once woken, a blocked accept (and every later one) returns
+  // without a peer.
+  bool woken = false;
+  std::thread acceptor(
+      [&] { woken = listener.accept_until_woken() == nullptr; });
+  listener.wake();
+  acceptor.join();
+  EXPECT_TRUE(woken);
+  EXPECT_EQ(listener.accept_until_woken(), nullptr);
+}
+
 TEST(SweepSpoolFiles, RemovesOnlyTheDeadWorkersFiles) {
   namespace fs = std::filesystem;
   const fs::path dir =

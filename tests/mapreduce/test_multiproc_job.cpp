@@ -249,16 +249,17 @@ TEST(MultiprocJob, UnknownRegisteredJobIsInvalidArgument) {
 JobSpec w2w_spec(std::size_t workers, std::size_t spill_budget) {
   JobSpec spec = word_count_spec();
   spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  spec.conf.shuffle_mode = ShuffleMode::kWorkerToWorker;
   spec.conf.num_workers = workers;
   spec.conf.spill_budget_bytes = spill_budget;
   return spec;
 }
 
 TEST(MultiprocW2W, OutputIsByteIdenticalAcrossWorkersAndBudgets) {
+  // Budget 0 (unbudgeted pulls) is MultiprocJob's parity test; these
+  // budgets page every pulled spool (1) or part of it (64 KiB) to disk.
   const JobResult baseline = run_job(word_count_spec(), word_count_input());
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t budget : {0u, 1u, 64u * 1024}) {
+    for (const std::size_t budget : {1u, 64u * 1024}) {
       const JobResult result =
           run_job(w2w_spec(workers, budget), word_count_input());
       EXPECT_EQ(flatten(result.output), flatten(baseline.output))
@@ -271,16 +272,6 @@ TEST(MultiprocW2W, OutputIsByteIdenticalAcrossWorkersAndBudgets) {
           << "workers=" << workers << " budget=" << budget;
     }
   }
-}
-
-TEST(MultiprocW2W, MatchesRelayModeByteForByte) {
-  JobSpec relay = word_count_spec();
-  relay.conf.execution_mode = ExecutionMode::kMultiProcess;
-  relay.conf.num_workers = 2;
-  const JobResult relayed = run_job(relay, word_count_input());
-  const JobResult pulled = run_job(w2w_spec(2, 0), word_count_input());
-  EXPECT_EQ(flatten(pulled.output), flatten(relayed.output));
-  EXPECT_EQ(pulled.counters.shuffle_bytes, relayed.counters.shuffle_bytes);
 }
 
 TEST(MultiprocW2W, ShuffleAndSpillBytesAreWorkerCountInvariant) {
@@ -305,41 +296,59 @@ TEST(MultiprocW2W, ShuffleAndSpillBytesAreWorkerCountInvariant) {
   EXPECT_EQ(spill_written[0], spill_written[2]);
 }
 
-TEST(MultiprocW2W, RelaysNoShuffleBytesThroughTheSupervisor) {
-  // Relay mode funnels every shuffle byte through the supervisor
-  // (shuffle.relay_bytes); worker-to-worker must move the same records
-  // while relaying none, bounding reducer residency via the spool instead.
-  MetricsRegistry relay_registry;
-  JobSpec relay = word_count_spec();
-  relay.conf.execution_mode = ExecutionMode::kMultiProcess;
-  relay.conf.num_workers = 2;
-  relay.metrics = &relay_registry;
-  run_job(relay, word_count_input());
-  EXPECT_GT(relay_registry.gauge_value("shuffle.relay_bytes"), 0);
+class IdentityMapper final : public Mapper {
+ public:
+  void map(const std::string& key, const std::string& value,
+           Emitter& out) override {
+    out.emit(key, value);
+  }
+};
 
-  MetricsRegistry w2w_registry;
-  JobSpec pulled = w2w_spec(2, /*spill_budget=*/1);
-  pulled.metrics = &w2w_registry;
-  run_job(pulled, word_count_input());
-  EXPECT_EQ(w2w_registry.gauge_value("shuffle.relay_bytes"), 0);
-  EXPECT_GE(w2w_registry.gauge_value("spill.bytes_written"), 1);
-  EXPECT_GE(w2w_registry.gauge_value("spill.pages"), 1);
-}
+/// Emits each value's size and first byte, in the order the values arrive.
+class ValueShapeReducer final : public Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& out) override {
+    for (const auto& v : values) {
+      out.emit(key, std::to_string(v.size()) + ":" + v.substr(0, 1));
+    }
+  }
+};
 
-TEST(MultiprocW2W, WorkerKillMidMapRecovers) {
-  const JobResult baseline = run_job(word_count_spec(), word_count_input());
+TEST(MultiprocW2W, StreamedSlicesPipelineOnOneConnectionPerOwner) {
+  // 10 map tasks round-robin over 2 workers, one reduce task: the reducer
+  // pulls 5 slices from the other worker, each a multi-window stream (64
+  // records of 20 KiB, over 4 x 256 KiB), with several requests in flight
+  // on one pooled connection.
+  // The owner must keep serving pipelined requests while it waits for
+  // stream credit, so no pull may fail over to recovery.
+  JobSpec spec;
+  spec.conf.num_reducers = 1;
+  spec.conf.split_records = 64;
+  spec.conf.num_workers = 2;
+  spec.mapper_factory = [] { return std::make_unique<IdentityMapper>(); };
+  spec.reducer_factory = [] { return std::make_unique<ValueShapeReducer>(); };
+  std::vector<Record> input;
+  for (int i = 0; i < 10 * 64; ++i) {
+    input.push_back({"k" + std::to_string(i),
+                     std::string(20 * 1024 + i, static_cast<char>('a' + i % 26))});
+  }
+  const JobResult baseline = run_job(spec, input);
+
   MetricsRegistry registry;
-  FaultInjector injector(FaultPlan::parse("seed=3;worker.kill:nth=2:max=1"),
-                         &registry);
-  JobSpec spec = w2w_spec(2, 0);
-  spec.conf.worker_spares = 1;
-  spec.conf.max_task_attempts = 3;
+  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
   spec.metrics = &registry;
-  spec.faults = &injector;
-  const JobResult result = run_job(spec, word_count_input());
+  const JobResult result = run_job(spec, input);
+  const std::size_t reducer = result.reduce_task_workers.at(0);
+  std::size_t remote_outputs = 0;
+  for (const std::size_t owner : result.map_task_workers) {
+    if (owner != reducer) ++remote_outputs;
+  }
+  ASSERT_GE(remote_outputs, 5u);
   EXPECT_EQ(flatten(result.output), flatten(baseline.output));
-  EXPECT_EQ(injector.fired("worker.kill"), 1u);
-  EXPECT_GE(registry.gauge_value("worker.killed"), 1);
+  EXPECT_EQ(registry.gauge_value("worker.killed"), 0);
+  EXPECT_EQ(registry.gauge_value("worker.map_reexecutions"), 0);
+  EXPECT_EQ(registry.gauge_value("shuffle.conns_opened"), 1);
 }
 
 TEST(MultiprocW2W, WorkerKillMidReduceReexecutesLostMapOutputs) {
@@ -364,15 +373,36 @@ TEST(MultiprocW2W, WorkerKillMidReduceReexecutesLostMapOutputs) {
   EXPECT_GE(registry.gauge_value("worker.map_reexecutions"), 1);
 }
 
+// The three tests below mirror MultiprocJob's kill/error/empty tests with
+// every pulled spool paged to disk (budget 1), so recovery, error
+// surfacing and the empty job also hold on the spilled pull path.
+
+TEST(MultiprocW2W, WorkerKillMidMapRecovers) {
+  const JobResult baseline = run_job(word_count_spec(), word_count_input());
+  MetricsRegistry registry;
+  FaultInjector injector(FaultPlan::parse("seed=3;worker.kill:nth=2:max=1"),
+                         &registry);
+  JobSpec spec = w2w_spec(2, /*spill_budget=*/1);
+  spec.conf.worker_spares = 1;
+  spec.conf.max_task_attempts = 3;
+  spec.metrics = &registry;
+  spec.faults = &injector;
+  const JobResult result = run_job(spec, word_count_input());
+  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(injector.fired("worker.kill"), 1u);
+  EXPECT_GE(registry.gauge_value("worker.killed"), 1);
+  EXPECT_GE(registry.gauge_value("spill.bytes_written"), 1);
+}
+
 TEST(MultiprocW2W, WorkerTaskFailureSurfacesAsTypedError) {
-  JobSpec spec = w2w_spec(2, 0);
+  JobSpec spec = w2w_spec(2, /*spill_budget=*/1);
   spec.reducer_factory = [] { return std::make_unique<ThrowingReducer>(); };
   spec.conf.max_task_attempts = 1;
   EXPECT_THROW(run_job(spec, word_count_input()), IoError);
 }
 
 TEST(MultiprocW2W, EmptyInputStillRuns) {
-  const JobResult result = run_job(w2w_spec(2, 0), {});
+  const JobResult result = run_job(w2w_spec(2, /*spill_budget=*/1), {});
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.num_map_tasks, 1u);
 }
@@ -395,7 +425,6 @@ TEST(MultiprocW2W, ExecModeWorkerBinaryMatchesInProcess) {
   // kJobSetup, so pulls work across a real exec boundary too.
   JobSpec exec_spec = in_proc;
   exec_spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  exec_spec.conf.shuffle_mode = ShuffleMode::kWorkerToWorker;
   exec_spec.conf.num_workers = 2;
   exec_spec.conf.spill_budget_bytes = 1;
   exec_spec.conf.worker_binary = DASC_WORKER_BIN;
@@ -421,59 +450,53 @@ TEST(MultiprocSpeculation, EveryCellKeepsParityAndCommitsEachTaskOnce) {
       "seed=5;worker.kill:nth=2:max=1;"
       "reduce.task:nth=1:max=1:kind=stall:stall_ms=300";
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const ShuffleMode mode :
-         {ShuffleMode::kRelay, ShuffleMode::kWorkerToWorker}) {
-      for (const bool speculate : {false, true}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) + " shuffle=" +
-                     to_string(mode) + (speculate ? " spec=on" : " spec=off"));
-        MetricsRegistry registry;
-        FaultInjector injector(FaultPlan::parse(kPlan), &registry);
-        JobSpec spec = word_count_spec();
-        spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-        spec.conf.shuffle_mode = mode;
-        spec.conf.num_workers = workers;
-        spec.conf.worker_spares = 1;
-        spec.conf.max_task_attempts = 3;
-        // The straggler monitor needs the non-stalled tasks to commit
-        // while the stalled one sleeps, so the phase pool must not
-        // serialize behind it (single-CPU hosts default to one thread).
-        spec.conf.physical_threads = 4;
-        if (mode == ShuffleMode::kWorkerToWorker) {
-          spec.conf.spill_budget_bytes = 1;  // pulls spool through disk
-        }
-        if (speculate) {
-          spec.conf.enable_speculation = true;
-          spec.conf.speculative_slowdown = 1.5;
-          spec.conf.speculative_min_ms = 1.0;
-        }
-        spec.metrics = &registry;
-        spec.faults = &injector;
+    for (const bool speculate : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   (speculate ? " spec=on" : " spec=off"));
+      MetricsRegistry registry;
+      FaultInjector injector(FaultPlan::parse(kPlan), &registry);
+      JobSpec spec = word_count_spec();
+      spec.conf.execution_mode = ExecutionMode::kMultiProcess;
+      spec.conf.num_workers = workers;
+      spec.conf.worker_spares = 1;
+      spec.conf.max_task_attempts = 3;
+      // The straggler monitor needs the non-stalled tasks to commit
+      // while the stalled one sleeps, so the phase pool must not
+      // serialize behind it (single-CPU hosts default to one thread).
+      spec.conf.physical_threads = 4;
+      spec.conf.spill_budget_bytes = 1;  // pulls spool through disk
+      if (speculate) {
+        spec.conf.enable_speculation = true;
+        spec.conf.speculative_slowdown = 1.5;
+        spec.conf.speculative_min_ms = 1.0;
+      }
+      spec.metrics = &registry;
+      spec.faults = &injector;
 
-        const JobResult result = run_job(spec, word_count_input());
-        EXPECT_EQ(flatten(result.output), flatten(baseline.output));
-        EXPECT_EQ(result.counters.map_input_records,
-                  baseline.counters.map_input_records);
-        EXPECT_EQ(result.counters.map_output_records,
-                  baseline.counters.map_output_records);
-        EXPECT_EQ(result.counters.reduce_input_groups,
-                  baseline.counters.reduce_input_groups);
-        EXPECT_EQ(result.counters.reduce_output_records,
-                  baseline.counters.reduce_output_records);
-        EXPECT_EQ(result.counters.shuffle_bytes,
-                  baseline.counters.shuffle_bytes);
+      const JobResult result = run_job(spec, word_count_input());
+      EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+      EXPECT_EQ(result.counters.map_input_records,
+                baseline.counters.map_input_records);
+      EXPECT_EQ(result.counters.map_output_records,
+                baseline.counters.map_output_records);
+      EXPECT_EQ(result.counters.reduce_input_groups,
+                baseline.counters.reduce_input_groups);
+      EXPECT_EQ(result.counters.reduce_output_records,
+                baseline.counters.reduce_output_records);
+      EXPECT_EQ(result.counters.shuffle_bytes,
+                baseline.counters.shuffle_bytes);
 
-        // Every fire the plan promises happened, exactly once, and the
-        // injector's own view agrees with the metrics view (remote fires
-        // are absorbed into both). Retry counts for worker.kill are
-        // deliberately not asserted: a reply can already be in the socket
-        // buffer when SIGKILL lands, in which case no attempt fails.
-        EXPECT_EQ(injector.fired("worker.kill"), 1u);
-        EXPECT_EQ(registry.counter_value("fault.injected.worker.kill"), 1);
-        EXPECT_EQ(injector.fired("reduce.task"), 1u);
-        EXPECT_EQ(registry.counter_value("fault.injected.reduce.task"), 1);
-        if (speculate) {
-          EXPECT_GE(registry.gauge_value("retry.speculative_launches"), 1);
-        }
+      // Every fire the plan promises happened, exactly once, and the
+      // injector's own view agrees with the metrics view (remote fires
+      // are absorbed into both). Retry counts for worker.kill are
+      // deliberately not asserted: a reply can already be in the socket
+      // buffer when SIGKILL lands, in which case no attempt fails.
+      EXPECT_EQ(injector.fired("worker.kill"), 1u);
+      EXPECT_EQ(registry.counter_value("fault.injected.worker.kill"), 1);
+      EXPECT_EQ(injector.fired("reduce.task"), 1u);
+      EXPECT_EQ(registry.counter_value("fault.injected.reduce.task"), 1);
+      if (speculate) {
+        EXPECT_GE(registry.gauge_value("retry.speculative_launches"), 1);
       }
     }
   }
@@ -486,6 +509,10 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   // winner's (a different pid's) spool files in the same spill dir
   // survive — the sweep must key on the cancelled worker's own pid.
   namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("dasc-cancel-test-" + std::to_string(::getpid()));
+  fs::create_directories(dir);
   const auto [sup_fd, worker_fd] = ipc::make_socketpair();
   ipc::Transport supervisor(sup_fd);
   ipc::Transport worker_end(worker_fd);
@@ -493,10 +520,25 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   WorkerJob job;
   job.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
   job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  const WorkerOptions options;  // no heartbeat, no data plane
+  WorkerOptions options;  // no heartbeat
+  options.data_socket_path = (dir / "data.sock").string();
   std::thread worker([&] { serve_worker_loop(worker_end, job, options); });
 
-  // A committed map task retains its output for later fetches.
+  // Ask the worker's data plane for partition 0 (of 1) of map output 0,
+  // as a reducer would; returns the reply type.
+  const auto fetch_part = [&] {
+    const std::unique_ptr<ipc::Transport> peer =
+        ipc::Transport::connect(options.data_socket_path);
+    ipc::WireWriter writer;
+    writer.u64(0);  // map task
+    writer.u64(0);  // partition
+    writer.u64(1);  // partitions
+    peer->send({ipc::MessageType::kFetchPart, writer.take()});
+    const auto reply = peer->recv();
+    return reply.has_value() ? reply->type : ipc::MessageType::kHello;
+  };
+
+  // A committed map task retains its output for reducers' pulls.
   {
     ipc::WireWriter writer;
     writer.u64(0);
@@ -506,14 +548,11 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, ipc::MessageType::kMapDone);
   }
+  EXPECT_EQ(fetch_part(), ipc::MessageType::kFetchData);
 
   // Plant spool files: the serve loop runs in this process, so files named
   // with our pid are the losing worker's; the winner is "another worker",
   // simulated by a different pid in the filename.
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("dasc-cancel-test-" + std::to_string(::getpid()));
-  fs::create_directories(dir);
   const fs::path loser =
       dir / ("dasc-spool-" + std::to_string(::getpid()) + "-999.spl");
   const fs::path winner =
@@ -543,16 +582,9 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   EXPECT_FALSE(fs::exists(loser));   // the loser's spool is gone
   EXPECT_TRUE(fs::exists(winner));   // the winner's survives
 
-  // The dropped output is unreachable: a fetch for it fails typed instead
+  // The dropped output is unreachable: a pull for it fails typed instead
   // of serving a side effect the job discarded.
-  {
-    ipc::WireWriter writer;
-    writer.u64(0);
-    supervisor.send({ipc::MessageType::kFetch, writer.take()});
-    const auto reply = supervisor.recv();
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->type, ipc::MessageType::kTaskError);
-  }
+  EXPECT_EQ(fetch_part(), ipc::MessageType::kTaskError);
 
   // Cancel is idempotent: nothing left to drop or sweep.
   cancel(/*expect_dropped=*/0, /*expect_swept=*/0);
