@@ -1,10 +1,11 @@
 // Nystrom-extension spectral clustering baseline (the paper's "NYST"
 // comparator; Schuetter & Shi 2011 / Fowlkes et al. lineage).
 //
-// m landmark points are sampled; the N x m kernel slab C and the m x m
-// landmark kernel W are formed; approximate degrees come from
-// d = C W^+ (C^T 1), and the top-K eigenvectors of the normalized affinity
-// are recovered from the m x m problem F^T F with F = D^{-1/2} C W^{-1/2}.
+// The whole dataset is fitted as one bucket by the Nystrom BucketEmbedder:
+// m landmarks are sampled and the Gram is factored as F = C W^{-1/2} by
+// core::nystrom_landmark_factor (the repo's one Nystrom factor routine);
+// degrees d = F (F^T 1) and the top-K eigenvectors of the normalized
+// affinity come from the factored spectral solve on an m x m core.
 // Cost: O(N m^2 + m^3) time and O(N m) memory.
 #pragma once
 
@@ -18,22 +19,17 @@ namespace dasc::baselines {
 
 struct NystromParams {
   std::size_t k = 2;       ///< clusters
-  std::size_t landmarks = 0;  ///< sample size m; 0 = auto
+  std::size_t landmarks = 0;  ///< sample size m; 0 = core::auto_backend_rank
   double sigma = 0.0;      ///< Gaussian bandwidth; 0 = auto
-  /// Eigenvalue floor for pseudo-inverting W (relative to its largest).
-  double rank_tolerance = 1e-10;
 };
 
 struct NystromResult {
   std::vector<int> labels;
   std::size_t k = 0;
   std::size_t landmarks = 0;  ///< resolved m
-  /// Bytes of the C and W kernel slabs at float precision.
+  /// Eq. 12 bytes of the C and W kernel slabs.
   std::size_t kernel_bytes = 0;
 };
-
-/// Auto landmark count: m = clamp(4 sqrt(N), 16, N).
-std::size_t nystrom_auto_landmarks(std::size_t n);
 
 /// Run Nystrom spectral clustering on a dataset.
 NystromResult nystrom_cluster(const data::PointSet& points,

@@ -10,16 +10,12 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
+#include "core/lowrank_approximator.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace dasc::core {
 namespace {
-
-/// Relative spectral floor of the factored r x r eigenproblem: components
-/// with lambda <= floor * lambda_max carry no affinity mass and are
-/// dropped (mirrors nystrom_approximate_kernel's landmark-block floor).
-constexpr double kFactorEigenFloor = 1e-12;
 
 /// FNV-1a 64-bit absorb, the binning grid's cell -> column hash. Chosen
 /// for the same reason the artifact layer fixes CRC32: stable bytes on
@@ -199,7 +195,7 @@ class DenseEmbedder final : public BucketEmbedder {
 };
 
 // ---------------------------------------------------------------------------
-// nystrom — landmark factorization F = C W^{-1/2} inside the bucket.
+// nystrom — nystrom_landmark_factor over the bucket's rows, F = C P.
 
 class NystromEmbedder final : public BucketEmbedder {
  public:
@@ -236,69 +232,29 @@ class NystromEmbedder final : public BucketEmbedder {
     out.backend = GramBackend::kNystrom;
     out.gram_bytes = factor_bytes(n, m);
 
-    linalg::DenseMatrix c(n, m, 0.0);  // C: bucket points x landmarks
-    linalg::DenseMatrix p;             // P = U_kept Lambda_kept^{-1/2}
+    NystromLandmarkFactor factor;
     {
       ScopedTimer gram_timer(options_.metrics, "pipeline.gram_build");
-
-      // Uniform landmark sample without replacement over bucket-local
-      // rows (first RNG consumer — the draw order is part of the
-      // determinism contract).
-      std::vector<std::size_t> order(n);
-      for (std::size_t i = 0; i < n; ++i) order[i] = i;
-      for (std::size_t i = 0; i < m; ++i) {
-        std::swap(order[i], order[i + rng.uniform_index(n - i)]);
-      }
-
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto x = points.point(indices[i]);
-        for (std::size_t j = 0; j < m; ++j) {
-          c(i, j) = clustering::gaussian_kernel(
-              x, points.point(indices[order[j]]), options_.sigma);
-        }
-      }
-      linalg::DenseMatrix w(m, m, 0.0);
-      for (std::size_t a = 0; a < m; ++a) {
-        for (std::size_t b = 0; b < m; ++b) w(a, b) = c(order[a], b);
-      }
-
-      const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(w);
-      const double floor =
-          kFactorEigenFloor * std::max(eigen.eigenvalues.back(), 1e-300);
-      std::vector<std::size_t> kept;
-      for (std::size_t e = 0; e < m; ++e) {
-        if (eigen.eigenvalues[e] > floor) kept.push_back(e);
-      }
-      DASC_ENSURE(!kept.empty(),
-                  "nystrom backend: landmark block numerically zero");
-
-      p = linalg::DenseMatrix(m, kept.size(), 0.0);
-      for (std::size_t a = 0; a < m; ++a) {
-        for (std::size_t col = 0; col < kept.size(); ++col) {
-          const std::size_t e = kept[col];
-          p(a, col) =
-              eigen.eigenvectors(a, e) / std::sqrt(eigen.eigenvalues[e]);
-        }
-      }
-
+      factor = nystrom_landmark_factor(points, indices, m, options_.sigma, rng);
       if (want_factor) {
         out.nystrom.anchors = linalg::DenseMatrix(m, points.dim(), 0.0);
         for (std::size_t j = 0; j < m; ++j) {
-          const auto x = points.point(indices[order[j]]);
+          const auto x = points.point(indices[factor.landmarks[j]]);
           std::copy(x.begin(), x.end(), out.nystrom.anchors.row(j).begin());
         }
       }
     }
 
-    FactoredSolve solve = factored_spectral(
-        c.multiply(p), k_bucket, rng, options_.metrics, want_factor);
+    FactoredSolve solve =
+        factored_spectral(factor.c.multiply(factor.p), k_bucket, rng,
+                          options_.metrics, want_factor);
     out.fit = std::move(solve.fit);
     if (want_factor && out.fit.k > 0) {
       // Serving map over kernel rows: u_q = (c_q . P embed_map) / sqrt(d_q)
       // with d_q = c_q . (P s).
-      out.nystrom.map = p.multiply(solve.embed_map);
-      out.nystrom.dvec.assign(p.rows(), 0.0);
-      p.matvec(solve.s, out.nystrom.dvec);
+      out.nystrom.map = factor.p.multiply(solve.embed_map);
+      out.nystrom.dvec.assign(factor.p.rows(), 0.0);
+      factor.p.matvec(solve.s, out.nystrom.dvec);
     } else {
       out.nystrom = NystromFactor{};
     }

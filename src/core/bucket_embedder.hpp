@@ -9,8 +9,10 @@
 //   dense        exact dense Gram block + the Jacobi/Lanczos eigensolve —
 //                byte-for-byte the historical code path;
 //   nystrom      landmark factorization K ~= F F^T with F = C W^{-1/2}
-//                (Williams & Seeger; the repo's lowrank_approximator math
-//                applied inside a bucket), eigensolve on the m x m F^T F;
+//                (Williams & Seeger), built by nystrom_landmark_factor
+//                (core/lowrank_approximator, the repo's one Nystrom
+//                factor routine) over the bucket's rows; eigensolve on
+//                the r x r core;
 //   rbf_binning  random binning feature map (Rahimi & Recht; Wu et al.,
 //                "Scalable Spectral Clustering Using Random Binning
 //                Features"): K ~= Z Z^T for a sparse one-hot-per-grid

@@ -4,6 +4,7 @@
 
 #include "clustering/metrics.hpp"
 #include "common/error.hpp"
+#include "core/bucket_embedder.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/dense_matrix.hpp"
 
@@ -11,9 +12,10 @@ namespace dasc::baselines {
 namespace {
 
 TEST(NystromAutoLandmarks, RuleAndClamping) {
-  EXPECT_EQ(nystrom_auto_landmarks(10000), 400u);  // 4 * 100
-  EXPECT_EQ(nystrom_auto_landmarks(4), 4u);        // capped at n
-  EXPECT_EQ(nystrom_auto_landmarks(25), 20u);
+  // NYST's auto landmark count is the Nystrom backend's shared rank rule.
+  EXPECT_EQ(core::auto_backend_rank(10000), 400u);  // 4 * 100
+  EXPECT_EQ(core::auto_backend_rank(4), 4u);        // capped at n
+  EXPECT_EQ(core::auto_backend_rank(25), 20u);
 }
 
 TEST(Nystrom, RecoversSeparatedBlobs) {
