@@ -4,14 +4,20 @@
 // dense-exact path (ARI, exported in ppm). Also reports each backend's
 // per-bucket footprint at the 4096-point reference bucket size as a
 // bytes-vs-dense ppm gauge; CI's backend-tradeoff job gates the factored
-// backends at <= 25% of dense (250000 ppm). Emits
+// backends at <= 25% of dense (250000 ppm). Each factored embedder also
+// fits the whole sweep as one 4096-point bucket, and the tracked bytes
+// that fit allocates at its peak are reported against its admitted
+// gram_bytes as backend.<name>.peak_vs_gram_ppm (CI gate: <= 1.5x). Emits
 // BENCH_backend_tradeoff.json (validated by scripts/check_bench_json.py).
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "clustering/kernel.hpp"
 #include "clustering/metrics.hpp"
+#include "common/memory_tracker.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
@@ -108,6 +114,33 @@ int main() {
     std::printf("%12s %14s  (%5.2f%% of dense)\n", run.name,
                 bench::format_bytes(static_cast<double>(bytes)).c_str(),
                 100.0 * ratio);
+  }
+
+  // Peak tracked bytes of one factored fit over the whole sweep as a
+  // single bucket, against the gram_bytes the pipeline admits it under.
+  std::vector<std::size_t> all(points.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  embed_options.sigma = clustering::suggest_bandwidth(points);
+  std::printf("peak tracked bytes of one %zu-point fit:\n", points.size());
+  for (const BackendRun& run : runs) {
+    if (run.backend == core::GramBackend::kDense) continue;
+    const auto embedder = core::make_bucket_embedder(run.backend,
+                                                     embed_options);
+    const std::size_t admitted = embedder->gram_bytes(points.size(), mix.dim);
+    Rng rng(7);
+    const std::size_t before = MemoryTracker::current();
+    MemoryTracker::reset_peak();
+    embedder->fit(points, all, mix.k, rng);
+    const std::size_t grown = MemoryTracker::peak() - before;
+    const double ratio =
+        static_cast<double>(grown) / static_cast<double>(admitted);
+    bench::set_ppm(registry,
+                   std::string("backend.") + run.name + ".peak_vs_gram_ppm",
+                   ratio);
+    std::printf("%12s %14s  (%5.2fx admitted %s)\n", run.name,
+                bench::format_bytes(static_cast<double>(grown)).c_str(),
+                ratio,
+                bench::format_bytes(static_cast<double>(admitted)).c_str());
   }
 
   bench::write_metrics_json(registry, "backend_tradeoff");

@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "data/synthetic.hpp"
-#include "linalg/jacobi_eigen.hpp"
 #include "linalg/lanczos.hpp"
 #include "linalg/simd_ops.hpp"
 #include "linalg/symmetric_eigen.hpp"
@@ -62,16 +61,6 @@ void BM_LanczosTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_LanczosTopK)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Complexity(benchmark::oNSquared)->Unit(benchmark::kMillisecond);
-
-void BM_JacobiEigen(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::DenseMatrix gram = random_gram(n, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::jacobi_eigen(gram));
-  }
-}
-BENCHMARK(BM_JacobiEigen)->Arg(32)->Arg(64)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_GramConstruction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

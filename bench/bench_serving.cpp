@@ -108,6 +108,8 @@ int main() {
         .add(run_registry.counter_value("serving.exact_hits"));
     registry.counter("serving.nystrom_assigns")
         .add(run_registry.counter_value("serving.nystrom_assigns"));
+    registry.counter("serving.factor_assigns")
+        .add(run_registry.counter_value("serving.factor_assigns"));
     registry.timer("serving.assign_batch")
         .record_seconds(
             run_registry.timer_total_ms("serving.assign_batch") / 1e3);

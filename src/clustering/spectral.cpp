@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "clustering/kernel.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "linalg/lanczos.hpp"
 #include "linalg/simd_ops.hpp"
-#include "linalg/symmetric_eigen.hpp"
+#include "linalg/top_eigenpairs.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace dasc::clustering {
@@ -42,30 +42,10 @@ SpectralEmbeddingDetail spectral_embedding_detail(
   }
 
   // Top-k eigenvectors of L (largest eigenvalues).
-  linalg::DenseMatrix embedding(n, k, 0.0);
-  detail.eigenvalues.assign(k, 0.0);
-  if (n <= dense_cutoff) {
-    const linalg::SymmetricEigenResult eigen =
-        linalg::symmetric_eigen(laplacian);
-    for (std::size_t col = 0; col < k; ++col) {
-      const std::size_t src = n - 1 - col;  // eigenvalues ascend
-      detail.eigenvalues[col] = eigen.eigenvalues[src];
-      for (std::size_t row = 0; row < n; ++row) {
-        embedding(row, col) = eigen.eigenvectors(row, src);
-      }
-    }
-  } else {
-    const linalg::LanczosResult eigen =
-        linalg::lanczos_largest(linalg::as_operator(laplacian), k);
-    DASC_ENSURE(eigen.eigenvectors.cols() == k,
-                "spectral_embedding: Lanczos returned too few vectors");
-    for (std::size_t col = 0; col < k; ++col) {
-      detail.eigenvalues[col] = eigen.eigenvalues[col];
-      for (std::size_t row = 0; row < n; ++row) {
-        embedding(row, col) = eigen.eigenvectors(row, col);
-      }
-    }
-  }
+  linalg::TopEigenpairs eigen = linalg::top_eigenpairs(laplacian, k,
+                                                       dense_cutoff);
+  detail.eigenvalues = std::move(eigen.eigenvalues);
+  linalg::DenseMatrix embedding = std::move(eigen.eigenvectors);
   detail.eigenvectors = embedding;
 
   // Row-normalize to the unit sphere (Y_ij = X_ij / ||X_i||).

@@ -11,7 +11,7 @@
 #include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "core/lowrank_approximator.hpp"
-#include "linalg/jacobi_eigen.hpp"
+#include "linalg/top_eigenpairs.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace dasc::core {
@@ -30,92 +30,161 @@ std::uint64_t fnv1a64(std::uint64_t h, std::uint64_t v) {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
 /// What the factored spectral solve hands back beyond the fitted state:
-/// the ingredients of the serving factor. With representation F (n x r),
-/// s = F^T 1, and embed_map = V_topk Lambda^{-1/2} of the r x r problem,
-/// a new row f maps to embedding u = (f . embed_map) / sqrt(f . s).
+/// the serving factor over C's columns. A new row c (kernel row against
+/// the landmarks, or binning features) maps to embedding
+/// u = (c . map) / sqrt(c . dvec).
 struct FactoredSolve {
   clustering::SpectralGramDetail fit;
-  std::vector<double> s;          ///< column sums F^T 1 (degree weights)
-  linalg::DenseMatrix embed_map;  ///< r x k_eff
+  std::vector<double> dvec;  ///< m degree weights P P^T C^T 1
+  linalg::DenseMatrix map;   ///< m x k_eff, P V_topk Lambda^{-1/2}
 };
 
-/// Shared spectral path of both factored backends: degrees, normalized
-/// rows G = D^{-1/2} F, top-k eigenpairs of G G^T recovered from the
-/// r x r problem G^T G, row-normalize, K-means. O(n r^2) time, O(n r)
-/// space — never materializes an n x n matrix.
-FactoredSolve factored_spectral(const linalg::DenseMatrix& f,
-                                std::size_t k_bucket, Rng& rng,
+/// X^T diag(w) Y for X, Y with equal row counts, when the product is
+/// known to be symmetric: only the upper triangle is summed, streamed over
+/// the rows as rank-1 updates, then mirrored. Four rows share one sweep of
+/// the triangle, so each entry is loaded once per four rows; their terms
+/// are still added one row after another, the order of a sweep per row.
+linalg::DenseMatrix symmetric_product(const linalg::DenseMatrix& x,
+                                      std::span<const double> w,
+                                      const linalg::DenseMatrix& y) {
+  const std::size_t rows = x.rows();
+  const std::size_t r = x.cols();
+  linalg::DenseMatrix out(r, r, 0.0);
+  double* o = out.data();
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* x0 = x.row(i).data();
+    const double* x1 = x.row(i + 1).data();
+    const double* x2 = x.row(i + 2).data();
+    const double* x3 = x.row(i + 3).data();
+    const double* y0 = y.row(i).data();
+    const double* y1 = y.row(i + 1).data();
+    const double* y2 = y.row(i + 2).data();
+    const double* y3 = y.row(i + 3).data();
+    for (std::size_t a = 0; a < r; ++a) {
+      const double s0 = w[i] * x0[a];
+      const double s1 = w[i + 1] * x1[a];
+      const double s2 = w[i + 2] * x2[a];
+      const double s3 = w[i + 3] * x3[a];
+      if (s0 == 0.0 && s1 == 0.0 && s2 == 0.0 && s3 == 0.0) continue;
+      double* oa = o + a * r;
+      for (std::size_t b = a; b < r; ++b) {
+        oa[b] = oa[b] + s0 * y0[b] + s1 * y1[b] + s2 * y2[b] + s3 * y3[b];
+      }
+    }
+  }
+  for (; i < rows; ++i) {
+    const double* xi = x.row(i).data();
+    const double* yi = y.row(i).data();
+    for (std::size_t a = 0; a < r; ++a) {
+      const double scaled = w[i] * xi[a];
+      if (scaled == 0.0) continue;
+      double* oa = o + a * r;
+      for (std::size_t b = a; b < r; ++b) oa[b] += scaled * yi[b];
+    }
+  }
+  for (std::size_t a = 0; a < r; ++a) {
+    for (std::size_t b = 0; b < a; ++b) o[a * r + b] = o[b * r + a];
+  }
+  return out;
+}
+
+/// Shared spectral path of both factored backends. The affinity is
+/// K ~= F F^T with F = C P (n x r): C is the n x m slab the backend built
+/// (Nystrom kernel rows, binning features) and P an optional m x r
+/// projection (absent = identity). Neither F nor D^{-1/2} F is ever
+/// formed:
+///   s = P^T (C^T 1),  degrees d = C (P s);
+///   core B = P^T (C^T D^{-1} C) P  (r x r), whose nonzero spectrum is the
+///     normalized affinity D^{-1/2} F F^T D^{-1/2}'s;
+///   top-k_eff pairs (V, L) of B by linalg::top_eigenpairs;
+///   embedding U = D^{-1/2} C (P V L^{-1/2}), row-normalize, K-means.
+/// O(n m^2) time and O(m^2) space beyond C.
+FactoredSolve factored_spectral(const linalg::DenseMatrix& c,
+                                const linalg::DenseMatrix* p,
+                                std::size_t k_bucket,
+                                std::size_t dense_cutoff, Rng& rng,
                                 MetricsRegistry* metrics, bool want_factor) {
-  const std::size_t n = f.rows();
-  const std::size_t r = f.cols();
+  const std::size_t n = c.rows();
+  const std::size_t m = c.cols();
+  const std::size_t r = p != nullptr ? p->cols() : m;
   FactoredSolve out;
 
-  linalg::DenseMatrix u;  // raw eigenvectors U = G V Lambda^{-1/2}
+  linalg::DenseMatrix u;  // raw eigenvectors U = D^{-1/2} C map
   std::size_t k_eff = 0;
   {
     ScopedTimer eigen_timer(metrics, "spectral.eigensolve");
 
-    // Degrees via the factorization: d = F (F^T 1). Unlike the dense NJW
-    // path the Gram diagonal stays in the sum — removing it would break
-    // K ~= F F^T (see the header's documented deviation).
-    out.s.assign(r, 0.0);
+    // Degrees via the factorization: d = F (F^T 1) = C (P P^T C^T 1).
+    // Unlike the dense NJW path the Gram diagonal stays in the sum —
+    // removing it would break K ~= F F^T (see the header's documented
+    // deviation).
+    std::vector<double> s(m, 0.0);  // C^T 1
     for (std::size_t i = 0; i < n; ++i) {
-      const auto row = f.row(i);
-      for (std::size_t c = 0; c < r; ++c) out.s[c] += row[c];
+      const double* row = c.row(i).data();
+      for (std::size_t a = 0; a < m; ++a) s[a] += row[a];
     }
+    if (p != nullptr) {
+      std::vector<double> projected(r, 0.0);
+      for (std::size_t a = 0; a < m; ++a) {
+        linalg::axpy(s[a], p->row(a), projected);
+      }
+      out.dvec.assign(m, 0.0);
+      p->matvec(projected, out.dvec);
+    } else {
+      out.dvec = std::move(s);
+    }
+    std::vector<double> inv_degree(n, 0.0);
     std::vector<double> inv_sqrt_degree(n, 0.0);
-    linalg::DenseMatrix g = f;  // G = D^{-1/2} F
+    out.fit.spectral.degrees.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto row = f.row(i);
-      double degree = 0.0;
-      for (std::size_t c = 0; c < r; ++c) degree += row[c] * out.s[c];
-      out.fit.spectral.degrees.push_back(degree);
-      inv_sqrt_degree[i] = degree > 0.0 ? 1.0 / std::sqrt(degree) : 0.0;
-      auto grow = g.row(i);
-      for (std::size_t c = 0; c < r; ++c) grow[c] *= inv_sqrt_degree[i];
-    }
-
-    // The r x r core B = G^T G shares its nonzero spectrum with the
-    // normalized affinity G G^T.
-    linalg::DenseMatrix b(r, r, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = g.row(i);
-      for (std::size_t a = 0; a < r; ++a) {
-        for (std::size_t c = a; c < r; ++c) b(a, c) += row[a] * row[c];
+      const double degree = linalg::dot(c.row(i), out.dvec);
+      out.fit.spectral.degrees[i] = degree;
+      if (degree > 0.0) {
+        inv_degree[i] = 1.0 / degree;
+        inv_sqrt_degree[i] = 1.0 / std::sqrt(degree);
       }
     }
-    for (std::size_t a = 0; a < r; ++a) {
-      for (std::size_t c = 0; c < a; ++c) b(a, c) = b(c, a);
+
+    // Core B = P^T (C^T D^{-1} C) P through the m x m middle.
+    linalg::DenseMatrix core = symmetric_product(c, inv_degree, c);
+    if (p != nullptr) {
+      const linalg::DenseMatrix half = core.multiply(*p);  // m x r
+      core = symmetric_product(*p, std::vector<double>(m, 1.0), half);
     }
 
-    const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(b);
+    // The core's top eigenvalue 1 repeats once per disconnected component
+    // of the affinity, and next to the O(n m^2) core build the
+    // multiplicity probe is cheap, so it is always on here.
+    const std::size_t k_request = std::min(std::min(k_bucket, n), r);
+    const linalg::TopEigenpairs eigen = linalg::top_eigenpairs(
+        core, k_request, dense_cutoff, /*probe_multiplicity=*/true);
     const double floor =
-        kFactorEigenFloor * std::max(eigen.eigenvalues.back(), 1e-300);
-    std::vector<std::size_t> kept;  // descending eigenvalue order
-    for (std::size_t e = r; e-- > 0;) {
-      if (eigen.eigenvalues[e] > floor) kept.push_back(e);
-    }
-    k_eff = std::min(std::min(k_bucket, n), kept.size());
+        kFactorEigenFloor * std::max(eigen.eigenvalues.front(), 1e-300);
+    while (k_eff < k_request && eigen.eigenvalues[k_eff] > floor) ++k_eff;
     if (k_eff <= 1) {
       // Numerically collapsed representation: same contract as the
       // trivial path (k == 0, all labels zero, no spectral state).
       out.fit.labels.assign(n, 0);
       out.fit.spectral = clustering::SpectralEmbeddingDetail{};
+      out.dvec.clear();
       return out;
     }
 
-    out.embed_map = linalg::DenseMatrix(r, k_eff, 0.0);
-    out.fit.spectral.eigenvalues.assign(k_eff, 0.0);
+    linalg::DenseMatrix embed(r, k_eff, 0.0);  // V L^{-1/2}
+    out.fit.spectral.eigenvalues.assign(eigen.eigenvalues.begin(),
+                                        eigen.eigenvalues.begin() + k_eff);
     for (std::size_t col = 0; col < k_eff; ++col) {
-      const std::size_t e = kept[col];
-      const double lambda = eigen.eigenvalues[e];
-      out.fit.spectral.eigenvalues[col] = lambda;
-      const double inv_sqrt_lambda = 1.0 / std::sqrt(lambda);
+      const double inv_sqrt_lambda = 1.0 / std::sqrt(eigen.eigenvalues[col]);
       for (std::size_t a = 0; a < r; ++a) {
-        out.embed_map(a, col) = eigen.eigenvectors(a, e) * inv_sqrt_lambda;
+        embed(a, col) = eigen.eigenvectors(a, col) * inv_sqrt_lambda;
       }
     }
-    u = g.multiply(out.embed_map);
+    out.map = p != nullptr ? p->multiply(embed) : std::move(embed);
+    u = c.multiply(out.map);
+    for (std::size_t i = 0; i < n; ++i) {
+      linalg::scale(u.row(i), inv_sqrt_degree[i]);
+    }
   }
   if (metrics != nullptr) metrics->counter("eigensolve.factored").add(1);
 
@@ -135,7 +204,10 @@ FactoredSolve factored_spectral(const linalg::DenseMatrix& f,
   out.fit.labels = std::move(clusters.labels);
   out.fit.centroids = std::move(clusters.centroids);
   out.fit.k = k_eff;
-  if (!want_factor) out.embed_map = linalg::DenseMatrix();
+  if (!want_factor) {
+    out.map = linalg::DenseMatrix();
+    out.dvec.clear();
+  }
   return out;
 }
 
@@ -154,7 +226,7 @@ BucketEmbedding trivial_embedding(GramBackend backend, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// dense — the historical BlockGram + Jacobi/Lanczos path, byte-for-byte.
+// dense — the historical BlockGram + QL/Lanczos path, byte-for-byte.
 
 class DenseEmbedder final : public BucketEmbedder {
  public:
@@ -246,15 +318,13 @@ class NystromEmbedder final : public BucketEmbedder {
     }
 
     FactoredSolve solve =
-        factored_spectral(factor.c.multiply(factor.p), k_bucket, rng,
-                          options_.metrics, want_factor);
+        factored_spectral(factor.c, &factor.p, k_bucket, options_.dense_cutoff,
+                          rng, options_.metrics, want_factor);
     out.fit = std::move(solve.fit);
     if (want_factor && out.fit.k > 0) {
-      // Serving map over kernel rows: u_q = (c_q . P embed_map) / sqrt(d_q)
-      // with d_q = c_q . (P s).
-      out.nystrom.map = factor.p.multiply(solve.embed_map);
-      out.nystrom.dvec.assign(factor.p.rows(), 0.0);
-      factor.p.matvec(solve.s, out.nystrom.dvec);
+      // Serving map over kernel rows: u_q = (c_q . map) / sqrt(c_q . dvec).
+      out.nystrom.map = std::move(solve.map);
+      out.nystrom.dvec = std::move(solve.dvec);
     } else {
       out.nystrom = NystromFactor{};
     }
@@ -342,11 +412,12 @@ class BinningEmbedder final : public BucketEmbedder {
     }
 
     FactoredSolve solve =
-        factored_spectral(z, k_bucket, rng, options_.metrics, want_factor);
+        factored_spectral(z, nullptr, k_bucket, options_.dense_cutoff, rng,
+                          options_.metrics, want_factor);
     out.fit = std::move(solve.fit);
     if (want_factor && out.fit.k > 0) {
-      out.binning.map = std::move(solve.embed_map);
-      out.binning.dvec = std::move(solve.s);
+      out.binning.map = std::move(solve.map);
+      out.binning.dvec = std::move(solve.dvec);
     } else {
       out.binning = BinningFactor{};
     }

@@ -6,25 +6,27 @@
 // even after panelization. A BucketEmbedder abstracts that stage so the
 // representation can be swapped per bucket:
 //
-//   dense        exact dense Gram block + the Jacobi/Lanczos eigensolve —
+//   dense        exact dense Gram block + the QL/Lanczos eigensolve —
 //                byte-for-byte the historical code path;
-//   nystrom      landmark factorization K ~= F F^T with F = C W^{-1/2}
-//                (Williams & Seeger), built by nystrom_landmark_factor
-//                (core/lowrank_approximator, the repo's one Nystrom
-//                factor routine) over the bucket's rows; eigensolve on
-//                the r x r core;
+//   nystrom      landmark factorization K ~= F F^T with F = C P,
+//                P = W^{-1/2} (Williams & Seeger), built by
+//                nystrom_landmark_factor (core/lowrank_approximator, the
+//                repo's one Nystrom factor routine) over the bucket's
+//                rows; eigensolve on the r x r core;
 //   rbf_binning  random binning feature map (Rahimi & Recht; Wu et al.,
 //                "Scalable Spectral Clustering Using Random Binning
 //                Features"): K ~= Z Z^T for a sparse one-hot-per-grid
 //                feature matrix Z hashed into D columns.
 //
-// Both factored backends share one spectral path: with representation F
-// (n x r), degrees d = F (F^T 1), G = D^{-1/2} F, the top-k eigenvectors
-// of the normalized affinity G G^T are recovered from the r x r
-// eigenproblem G^T G = V L V^T as U = G V L^{-1/2} — O(n r) space instead
-// of O(n^2). (Factored backends keep the Gram diagonal in the degrees; the
-// dense path zeroes it per NJW. The deviation vanishes as buckets grow and
-// is covered by the accuracy harness.)
+// Both factored backends share one spectral path over the slab C (n x m)
+// and an optional projection P (binning has none): with F = C P, degrees
+// d = F (F^T 1), the top-k eigenvectors of the normalized affinity
+// D^{-1/2} F F^T D^{-1/2} are recovered from the r x r core
+// B = P^T (C^T D^{-1} C) P = V L V^T as U = D^{-1/2} C P V L^{-1/2} —
+// O(n m) space instead of O(n^2), and F itself is never formed.
+// (Factored backends keep the Gram diagonal in the degrees; the dense path
+// zeroes it per NJW. The deviation vanishes as buckets grow and is covered
+// by the accuracy harness.)
 //
 // Backend selection is a per-bucket policy (DascParams::gram_backend +
 // backend_threshold, resolved by EmbedderSet); every backend reports the

@@ -34,8 +34,8 @@ enum class HashFamily {
 /// Per-bucket Gram/embedding backend (see core/bucket_embedder.hpp).
 /// Values are persisted in model artifacts — never renumber.
 enum class GramBackend : std::uint8_t {
-  kDense = 0,       ///< exact dense block + Jacobi/Lanczos eigensolve
-  kNystrom = 1,     ///< landmark factorization F = C W^{-1/2}, m x m solve
+  kDense = 0,       ///< exact dense block + QL/Lanczos eigensolve
+  kNystrom = 1,     ///< landmark factorization F = C W^{-1/2}, r x r solve
   kRbfBinning = 2,  ///< random binning feature map, feature-space solve
 };
 

@@ -8,7 +8,7 @@
 #include "clustering/kernel.hpp"
 #include "common/error.hpp"
 #include "core/bucket_embedder.hpp"
-#include "linalg/jacobi_eigen.hpp"
+#include "linalg/symmetric_eigen.hpp"
 
 namespace dasc::core {
 
@@ -87,7 +87,8 @@ NystromLandmarkFactor nystrom_landmark_factor(
     for (std::size_t b = 0; b < m; ++b) w(a, b) = out.c(order[a], b);
   }
 
-  const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(w);
+  // P needs every retained eigenpair of W, so this is a full QL solve.
+  const linalg::SymmetricEigenResult eigen = linalg::symmetric_eigen(w);
   const double floor =
       kFactorEigenFloor * std::max(eigen.eigenvalues.back(), 1e-300);
   std::vector<std::size_t> kept;

@@ -18,26 +18,6 @@ PointSet::PointSet(std::size_t n, std::size_t dim, std::vector<double> values)
               "PointSet: values size must equal n * dim");
 }
 
-std::span<double> PointSet::point(std::size_t i) {
-  DASC_EXPECT(i < n_, "PointSet: index out of range");
-  return {values_.data() + i * dim_, dim_};
-}
-
-std::span<const double> PointSet::point(std::size_t i) const {
-  DASC_EXPECT(i < n_, "PointSet: index out of range");
-  return {values_.data() + i * dim_, dim_};
-}
-
-double& PointSet::at(std::size_t i, std::size_t d) {
-  DASC_EXPECT(i < n_ && d < dim_, "PointSet: index out of range");
-  return values_[i * dim_ + d];
-}
-
-double PointSet::at(std::size_t i, std::size_t d) const {
-  DASC_EXPECT(i < n_ && d < dim_, "PointSet: index out of range");
-  return values_[i * dim_ + d];
-}
-
 void PointSet::set_labels(std::vector<int> labels) {
   DASC_EXPECT(labels.size() == n_, "set_labels: size must equal point count");
   labels_ = std::move(labels);

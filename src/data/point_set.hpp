@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/aligned_allocator.hpp"
+#include "common/error.hpp"
 
 namespace dasc::data {
 
@@ -27,11 +28,24 @@ class PointSet {
   std::size_t dim() const { return dim_; }
   bool empty() const { return n_ == 0; }
 
-  std::span<double> point(std::size_t i);
-  std::span<const double> point(std::size_t i) const;
+  // Bounds-checked accessors, inline for the per-point kernel loops.
+  std::span<double> point(std::size_t i) {
+    DASC_EXPECT(i < n_, "PointSet: index out of range");
+    return {values_.data() + i * dim_, dim_};
+  }
+  std::span<const double> point(std::size_t i) const {
+    DASC_EXPECT(i < n_, "PointSet: index out of range");
+    return {values_.data() + i * dim_, dim_};
+  }
 
-  double& at(std::size_t i, std::size_t d);
-  double at(std::size_t i, std::size_t d) const;
+  double& at(std::size_t i, std::size_t d) {
+    DASC_EXPECT(i < n_ && d < dim_, "PointSet: index out of range");
+    return values_[i * dim_ + d];
+  }
+  double at(std::size_t i, std::size_t d) const {
+    DASC_EXPECT(i < n_ && d < dim_, "PointSet: index out of range");
+    return values_[i * dim_ + d];
+  }
 
   const AlignedVector& values() const { return values_; }
 

@@ -32,26 +32,6 @@ DenseMatrix& DenseMatrix::operator=(const DenseMatrix& other) {
   return *this;
 }
 
-double& DenseMatrix::operator()(std::size_t r, std::size_t c) {
-  DASC_EXPECT(r < rows_ && c < cols_, "DenseMatrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-double DenseMatrix::operator()(std::size_t r, std::size_t c) const {
-  DASC_EXPECT(r < rows_ && c < cols_, "DenseMatrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-std::span<double> DenseMatrix::row(std::size_t r) {
-  DASC_EXPECT(r < rows_, "DenseMatrix: row out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> DenseMatrix::row(std::size_t r) const {
-  DASC_EXPECT(r < rows_, "DenseMatrix: row out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
 DenseMatrix DenseMatrix::identity(std::size_t n) {
   DenseMatrix m(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;

@@ -9,6 +9,7 @@
 #include <span>
 
 #include "common/aligned_allocator.hpp"
+#include "common/error.hpp"
 #include "common/memory_tracker.hpp"
 
 namespace dasc::linalg {
@@ -41,11 +42,25 @@ class DenseMatrix {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Bounds-checked accessors, inline so element loops (the eigensolvers,
+  // the factored core build) do not pay a call per entry.
+  double& operator()(std::size_t r, std::size_t c) {
+    DASC_EXPECT(r < rows_ && c < cols_, "DenseMatrix: index out of range");
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    DASC_EXPECT(r < rows_ && c < cols_, "DenseMatrix: index out of range");
+    return data_[r * cols_ + c];
+  }
 
-  std::span<double> row(std::size_t r);
-  std::span<const double> row(std::size_t r) const;
+  std::span<double> row(std::size_t r) {
+    DASC_EXPECT(r < rows_, "DenseMatrix: row out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
+  std::span<const double> row(std::size_t r) const {
+    DASC_EXPECT(r < rows_, "DenseMatrix: row out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }

@@ -117,6 +117,9 @@ void Server::serve_batch(std::vector<Request>& batch) {
             case AssignPath::kNearestLandmark:
               metrics->counter("serving.nystrom_assigns").add();
               break;
+            case AssignPath::kFactor:
+              metrics->counter("serving.factor_assigns").add();
+              break;
           }
         }
         request.promise.set_value(outcome.label);

@@ -50,7 +50,9 @@ void expect_valid_svd(const DenseMatrix& a, const SvdResult& svd,
       for (std::size_t i = 0; i < m; ++i) uu += svd.u(i, c1) * svd.u(i, c2);
       for (std::size_t i = 0; i < n; ++i) vv += svd.v(i, c1) * svd.v(i, c2);
       if (c1 == c2) {
-        if (svd.singular_values[c1] > tol) EXPECT_NEAR(uu, 1.0, tol);
+        if (svd.singular_values[c1] > tol) {
+          EXPECT_NEAR(uu, 1.0, tol);
+        }
         EXPECT_NEAR(vv, 1.0, tol);
       } else {
         EXPECT_NEAR(uu, 0.0, tol);

@@ -108,6 +108,19 @@ TEST(SymmetricEigen, TraceEqualsEigenvalueSum) {
   EXPECT_NEAR(trace, sum, 1e-9);
 }
 
+TEST(SymmetricEigen, PsdMatrixHasNonNegativeEigenvalues) {
+  // A = B^T B is PSD, like the landmark block W the Nystrom factor
+  // decomposes.
+  Rng rng(59);
+  DenseMatrix b(8, 8, 0.0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) b(i, j) = rng.uniform(-1.0, 1.0);
+  }
+  const DenseMatrix a = b.transposed().multiply(b);
+  const auto eigen = symmetric_eigen(a);
+  for (double v : eigen.eigenvalues) EXPECT_GE(v, -1e-9);
+}
+
 class SymmetricEigenSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SymmetricEigenSizes, RandomMatrixDecomposition) {

@@ -98,6 +98,40 @@ TEST(ServerTest, CountersAreDeterministicAcrossConfigurations) {
   EXPECT_EQ(run(2, 7), base);
 }
 
+TEST(ServerTest, FactorPathQueriesAreCounted) {
+  const data::PointSet points = demo_points();
+  core::DascParams params;
+  params.k = 4;
+  params.threads = 1;
+  params.gram_backend = core::GramBackendPolicy::kNystrom;
+  Rng rng(7);
+  const FitResult fit = fit_model(points, params, rng);
+  const Assigner assigner(fit.model);
+
+  // Off-landmark queries: each training point nudged along one axis, so
+  // the exact-landmark shortcut misses and factored buckets answer
+  // through their persisted factor.
+  data::PointSet queries = points;
+  for (std::size_t i = 0; i < queries.size(); ++i) queries.at(i, 0) += 1e-3;
+
+  MetricsRegistry registry;
+  ServerOptions options;
+  options.threads = 2;
+  options.max_batch_size = 16;
+  options.metrics = &registry;
+  {
+    Server server(assigner, options);
+    server.assign_all(queries);
+    server.shutdown();
+  }
+  const std::int64_t requests = registry.counter_value("serving.requests");
+  EXPECT_EQ(requests, static_cast<std::int64_t>(queries.size()));
+  EXPECT_EQ(requests, registry.counter_value("serving.exact_hits") +
+                          registry.counter_value("serving.nystrom_assigns") +
+                          registry.counter_value("serving.factor_assigns"));
+  EXPECT_GT(registry.counter_value("serving.factor_assigns"), 0);
+}
+
 TEST(ServerTest, MetricsGaugesAndTimersPopulated) {
   const data::PointSet points = demo_points();
   const FitResult fit = demo_fit(points);
