@@ -16,16 +16,30 @@
 
 namespace dasc::core {
 
+namespace {
+
+/// Split an "index|record" member value at its separator; the index must
+/// be one whole number.
+std::pair<std::size_t, std::string_view> split_member(std::string_view value) {
+  const std::size_t bar = value.find('|');
+  DASC_EXPECT(bar != std::string_view::npos,
+              "decode_member: missing separator");
+  std::size_t index = 0;
+  DASC_EXPECT(data::parse_field(value.substr(0, bar), index),
+              "decode_member: malformed index");
+  return {index, value.substr(bar + 1)};
+}
+
+}  // namespace
+
 std::string encode_member(std::size_t index, std::span<const double> point) {
   return std::to_string(index) + "|" + data::point_to_record(point);
 }
 
 std::pair<std::size_t, std::vector<double>> decode_member(
-    const std::string& value) {
-  const std::size_t bar = value.find('|');
-  DASC_EXPECT(bar != std::string::npos, "decode_member: missing separator");
-  const std::size_t index = std::stoull(value.substr(0, bar));
-  return {index, data::record_to_point(value.substr(bar + 1))};
+    std::string_view value) {
+  const auto [index, record] = split_member(value);
+  return {index, data::record_to_point(record)};
 }
 
 namespace {
@@ -291,10 +305,7 @@ void finish_pipeline(const data::PointSet& points,
   std::vector<lsh::Signature> signatures(n);
   std::vector<std::string> member_payload(n);
   for (auto& record : result.lsh_job.output) {
-    const std::size_t bar = record.value.find('|');
-    DASC_ENSURE(bar != std::string::npos,
-                "dasc_cluster_mapreduce: malformed stage-1 value");
-    const std::size_t index = std::stoull(record.value.substr(0, bar));
+    const std::size_t index = split_member(record.value).first;
     DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad stage-1 index");
     signatures[index] = lsh::from_string(record.key);
     member_payload[index] = std::move(record.value);
@@ -362,8 +373,9 @@ void finish_pipeline(const data::PointSet& points,
   result.labels.assign(n, 0);
   std::unordered_map<std::string, int> cluster_ids;
   for (const auto& record : result.cluster_job.output) {
-    const std::size_t index = std::stoull(record.key);
-    DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad output index");
+    std::size_t index = 0;
+    DASC_ENSURE(data::parse_field(record.key, index) && index < n,
+                "dasc_cluster_mapreduce: bad output index");
     auto [it, inserted] = cluster_ids.try_emplace(
         record.value, static_cast<int>(cluster_ids.size()));
     result.labels[index] = it->second;

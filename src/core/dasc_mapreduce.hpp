@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -60,6 +61,6 @@ MapReduceDascResult dasc_cluster_mapreduce_dfs(
 /// Serialization helpers shared with tests.
 std::string encode_member(std::size_t index, std::span<const double> point);
 std::pair<std::size_t, std::vector<double>> decode_member(
-    const std::string& value);
+    std::string_view value);
 
 }  // namespace dasc::core

@@ -1,67 +1,170 @@
 #include "data/dataset_io.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
 
 #include "common/error.hpp"
 
 namespace dasc::data {
 
+namespace {
+
+// Text files are read and written one chunk at a time: save_csv formats
+// into a chunk-sized buffer and flushes it with one write, load_csv holds
+// at most one chunk of text (plus the longest line) beyond parsed values.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+/// Append `value` (a double or an integer) as decimal text; a double is
+/// written in its shortest round-trip form.
+template <typename T>
+void append_number(std::string& out, T value) {
+  char digits[32];  // the longest double, "-2.2250738585072014e-308", is 24
+  const auto result = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, result.ptr);
+}
+
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
+
+File open_file(const std::string& path, const char* mode, const char* who) {
+  File file(std::fopen(path.c_str(), mode));
+  if (!file) throw IoError(std::string(who) + ": cannot open " + path);
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);  // chunks go straight through
+  return file;
+}
+
+void write_chunk(std::FILE* file, std::string& buffer,
+                 const std::string& path) {
+  if (std::fwrite(buffer.data(), 1, buffer.size(), file) != buffer.size()) {
+    throw IoError("save_csv: write failed for " + path);
+  }
+  buffer.clear();
+}
+
+/// Call on_line(line, line_number) for every line of `file` (without its
+/// '\n'; numbers are 1-based), reading kChunkBytes at a time and carrying
+/// the partial last line of each chunk into the next.
+template <typename OnLine>
+void for_each_line(std::FILE* file, const std::string& path,
+                   OnLine&& on_line) {
+  std::vector<char> buffer(kChunkBytes);
+  std::size_t carried = 0;
+  std::size_t line_number = 0;
+  for (;;) {
+    // A line longer than the buffer: grow it so the line fits whole.
+    if (carried == buffer.size()) buffer.resize(2 * buffer.size());
+    const std::size_t got = std::fread(buffer.data() + carried, 1,
+                                       buffer.size() - carried, file);
+    if (got == 0 && std::ferror(file)) {
+      throw IoError("load_csv: read failed for " + path);
+    }
+    const char* begin = buffer.data();
+    const char* const end = begin + carried + got;
+    while (const void* newline = std::memchr(begin, '\n', end - begin)) {
+      const char* const stop = static_cast<const char*>(newline);
+      on_line(std::string_view(begin, stop), ++line_number);
+      begin = stop + 1;
+    }
+    carried = static_cast<std::size_t>(end - begin);
+    if (got == 0) {
+      if (carried > 0) on_line(std::string_view(begin, end), ++line_number);
+      return;
+    }
+    std::memmove(buffer.data(), begin, carried);
+  }
+}
+
+/// Call on_field(field, is_last) for each comma-separated field of `line`.
+template <typename OnField>
+void for_each_field(std::string_view line, OnField&& on_field) {
+  for (;;) {
+    const std::size_t comma = line.find(',');
+    on_field(line.substr(0, comma), comma == std::string_view::npos);
+    if (comma == std::string_view::npos) return;
+    line.remove_prefix(comma + 1);
+  }
+}
+
+}  // namespace
+
 void save_csv(const PointSet& points, const std::string& path,
               bool with_labels) {
-  std::ofstream out(path);
-  if (!out) throw IoError("save_csv: cannot open " + path);
-  out.precision(17);
+  File file = open_file(path, "wb", "save_csv");
+  const bool labels = with_labels && points.has_labels();
+  std::string buffer;
+  buffer.reserve(kChunkBytes + (points.dim() + 1) * 32);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto row = points.point(i);
     for (std::size_t d = 0; d < row.size(); ++d) {
-      if (d > 0) out << ',';
-      out << row[d];
+      if (d > 0) buffer += ',';
+      append_number(buffer, row[d]);
     }
-    if (with_labels && points.has_labels()) out << ',' << points.label(i);
-    out << '\n';
+    if (labels) {
+      buffer += ',';
+      append_number(buffer, points.label(i));
+    }
+    buffer += '\n';
+    if (buffer.size() >= kChunkBytes) write_chunk(file.get(), buffer, path);
   }
-  if (!out) throw IoError("save_csv: write failed for " + path);
+  write_chunk(file.get(), buffer, path);
+  if (std::fclose(file.release()) != 0) {
+    throw IoError("save_csv: write failed for " + path);
+  }
 }
 
 PointSet load_csv(const std::string& path, bool labelled) {
-  std::ifstream in(path);
-  if (!in) throw IoError("load_csv: cannot open " + path);
+  const File file = open_file(path, "rb", "load_csv");
 
   std::vector<double> values;
   std::vector<int> labels;
   std::size_t dim = 0;
   std::size_t n = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<double> fields;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      try {
-        fields.push_back(std::stod(cell));
-      } catch (const std::exception&) {
-        throw IoError("load_csv: malformed number '" + cell + "' in " + path);
+  for_each_line(file.get(), path, [&](std::string_view line,
+                                      std::size_t line_number) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) return;
+    const auto where = [&] {
+      return " on line " + std::to_string(line_number) + " of " + path;
+    };
+    const std::size_t row_start = values.size();
+    std::size_t columns = 0;
+    for_each_field(line, [&](std::string_view field, bool last) {
+      ++columns;
+      if (labelled && last) {
+        int label = 0;
+        if (!parse_field(field, label)) {
+          throw IoError("load_csv: malformed integer label '" +
+                        std::string(field) + "'" + where());
+        }
+        labels.push_back(label);
+        return;
       }
-    }
-    if (labelled) {
-      if (fields.size() < 2) {
-        throw IoError("load_csv: labelled row needs >= 2 columns in " + path);
+      double value = 0.0;
+      if (!parse_field(field, value)) {
+        throw IoError("load_csv: malformed number '" + std::string(field) +
+                      "'" + where());
       }
-      labels.push_back(static_cast<int>(fields.back()));
-      fields.pop_back();
+      values.push_back(value);
+    });
+    if (labelled && columns < 2) {
+      throw IoError("load_csv: labelled row needs >= 2 columns" + where());
     }
-    if (dim == 0) {
-      dim = fields.size();
-    } else if (fields.size() != dim) {
-      throw IoError("load_csv: inconsistent column count in " + path);
+    const std::size_t row_dim = values.size() - row_start;
+    if (n == 0) {
+      dim = row_dim;
+    } else if (row_dim != dim) {
+      throw IoError("load_csv: inconsistent column count (" +
+                    std::to_string(row_dim) + " values, expected " +
+                    std::to_string(dim) + ")" + where());
     }
-    values.insert(values.end(), fields.begin(), fields.end());
     ++n;
-  }
+  });
   if (n == 0) throw IoError("load_csv: no data rows in " + path);
 
   PointSet points(n, dim, std::move(values));
@@ -117,26 +220,30 @@ PointSet load_binary(const std::string& path) {
 }
 
 std::string point_to_record(std::span<const double> point) {
-  std::ostringstream out;
-  out.precision(17);
+  // Format into a reused buffer and return an exact-size copy: records are
+  // held by the million as MapReduce input.
+  thread_local std::string scratch;
+  scratch.clear();
   for (std::size_t d = 0; d < point.size(); ++d) {
-    if (d > 0) out << ',';
-    out << point[d];
+    if (d > 0) scratch += ',';
+    append_number(scratch, point[d]);
   }
-  return out.str();
+  return scratch;
 }
 
-std::vector<double> record_to_point(const std::string& record) {
+std::vector<double> record_to_point(std::string_view record) {
   std::vector<double> values;
-  std::stringstream ss(record);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) {
-    try {
-      values.push_back(std::stod(cell));
-    } catch (const std::exception&) {
-      throw IoError("record_to_point: malformed number '" + cell + "'");
+  values.reserve(
+      static_cast<std::size_t>(std::count(record.begin(), record.end(), ',')) +
+      1);
+  for_each_field(record, [&](std::string_view field, bool) {
+    double value = 0.0;
+    if (!parse_field(field, value)) {
+      throw IoError("record_to_point: malformed number '" +
+                    std::string(field) + "'");
     }
-  }
+    values.push_back(value);
+  });
   return values;
 }
 

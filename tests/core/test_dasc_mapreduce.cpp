@@ -29,12 +29,21 @@ TEST(MemberCodec, RoundTrip) {
   EXPECT_EQ(index, 42u);
   ASSERT_EQ(decoded.size(), 3u);
   for (std::size_t d = 0; d < 3; ++d) {
-    EXPECT_DOUBLE_EQ(decoded[d], point[d]);
+    EXPECT_EQ(decoded[d], point[d]);
   }
 }
 
 TEST(MemberCodec, RejectsMalformedValue) {
   EXPECT_THROW(decode_member("no separator here"), dasc::InvalidArgument);
+}
+
+TEST(MemberCodec, RejectsMalformedIndex) {
+  for (const char* bad : {"12x|1.0,2.0", "|1.0", "-1|1.0", "1.5|1.0",
+                          "99999999999999999999999|1.0"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(decode_member(bad), dasc::InvalidArgument);
+  }
+  EXPECT_THROW(decode_member("12|1.0,oops"), dasc::IoError);
 }
 
 TEST(MapReduceDasc, ProducesValidLabeling) {
@@ -182,10 +191,10 @@ TEST(MapReduceDasc, DfsVariantRejectsBadInput) {
 }
 
 TEST(MapReduceDasc, MultiProcessLabelsMatchInProcessOnWideInput) {
-  // 64-d points as 17-digit text make the single 1000-record map split
-  // larger than 1 MiB, so map inputs and pulled slices stream as several
-  // chunks on both the control and the data plane — the payload sizes
-  // real inputs reach and small-dimension tests never do.
+  // 64-d points as shortest round-trip text make the single 1000-record
+  // map split larger than 1 MiB, so map inputs and pulled slices stream as
+  // several chunks on both the control and the data plane — the payload
+  // sizes real inputs reach and small-dimension tests never do.
   dasc::Rng data_rng(5);
   data::MixtureParams mix;
   mix.n = 1000;
