@@ -10,6 +10,8 @@ namespace dasc {
 
 namespace {
 
+constexpr std::string_view kFiredCounter = "fault.injected";
+
 std::uint64_t splitmix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -36,6 +38,11 @@ bool probability_fires(std::uint64_t seed, std::uint64_t site_h,
       splitmix64(seed ^ site_h) ^ splitmix64(ordinal) ^ call_index);
   const double u = static_cast<double>(mixed >> 11) * 0x1.0p-53;
   return u < probability;
+}
+
+/// `fault.injected.<site>`: the per-site fire counter.
+std::string site_counter(std::string_view site) {
+  return std::string(kFiredCounter) + "." + std::string(site);
 }
 
 FaultKind parse_kind(const std::string& value) {
@@ -203,8 +210,8 @@ FaultInjector::Outcome FaultInjector::check(std::string_view site) {
     state.fired.fetch_add(1, std::memory_order_relaxed);
     total_fired_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) {
-      metrics_->counter("fault.injected").add();
-      metrics_->counter("fault.injected." + std::string(site)).add();
+      metrics_->counter(kFiredCounter).add();
+      metrics_->counter(site_counter(site)).add();
     }
     switch (spec.kind) {
       case FaultKind::kError:
@@ -252,9 +259,21 @@ void FaultInjector::record_remote_fires(std::string_view site,
   }
   total_fired_.fetch_add(count, std::memory_order_relaxed);
   if (metrics_ != nullptr) {
-    metrics_->counter("fault.injected").add(static_cast<std::int64_t>(count));
-    metrics_->counter("fault.injected." + std::string(site))
+    metrics_->counter(kFiredCounter).add(static_cast<std::int64_t>(count));
+    metrics_->counter(site_counter(site))
         .add(static_cast<std::int64_t>(count));
+  }
+}
+
+void FaultInjector::absorb_remote_fires(MetricsSnapshot& snapshot) {
+  const std::string prefix = site_counter("");
+  auto& counters = snapshot.counters;
+  counters.erase(std::string(kFiredCounter));
+  for (auto it = counters.lower_bound(prefix);
+       it != counters.end() && it->first.starts_with(prefix);) {
+    record_remote_fires(std::string_view(it->first).substr(prefix.size()),
+                        static_cast<std::uint64_t>(it->second));
+    it = counters.erase(it);
   }
 }
 

@@ -39,6 +39,7 @@
 namespace dasc {
 
 class MetricsRegistry;
+struct MetricsSnapshot;
 
 /// Thrown by FaultInjector::maybe_throw when an injected fault fires.
 class FaultInjectedError : public std::runtime_error {
@@ -109,24 +110,27 @@ class FaultInjector {
   /// Faults fired across all sites.
   std::uint64_t total_fired() const;
 
-  /// Forked-worker hygiene: a child process inheriting this injector calls
-  /// this (on its own copy-on-write copy) so fault evaluation keeps
-  /// working — the state is all atomics, which fork preserves — without
-  /// ever touching the parent-owned MetricsRegistry through the inherited
-  /// pointer. Fault accounting stays single-homed in the supervisor.
-  void detach_metrics() { metrics_ = nullptr; }
+  /// Count fires into `metrics` (null = nowhere). A forked worker points
+  /// its copy of the supervisor's injector at its task registry, so fires
+  /// travel home in the task's metrics snapshot.
+  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Absorb `count` fires a worker process reported for `site` (the
-  /// worker-to-worker shuffle's kReducePullDone accounting): bumps the
+  /// Move the fire counters out of a worker task's metrics snapshot: each
+  /// `fault.injected.<site>` goes through record_remote_fires, and it and
+  /// the `fault.injected` total are erased from `snapshot`, so merging the
+  /// rest into a registry cannot count a fire twice.
+  void absorb_remote_fires(MetricsSnapshot& snapshot);
+
+  const FaultPlan& plan() const { return plan_; }
+
+ private:
+  /// Absorb `count` fires a worker process realized for `site`: bumps the
   /// site's fired count, total_fired, and the `fault.injected` /
   /// `fault.injected.<site>` counters, so supervisor-side accounting
   /// invariants (fired == fault.injected.<site> == retries) hold even
   /// when the site was evaluated in a child's copy-on-write injector.
   void record_remote_fires(std::string_view site, std::uint64_t count);
 
-  const FaultPlan& plan() const { return plan_; }
-
- private:
   struct SpecState {
     FaultSpec spec;
     std::uint64_t ordinal = 0;  ///< position in the plan (hash salt)

@@ -101,29 +101,42 @@ std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
   return it == gauges_.end() ? 0 : it->second->value();
 }
 
-std::map<std::string, std::int64_t> MetricsRegistry::counters_snapshot()
-    const {
+MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
-  std::map<std::string, std::int64_t> out;
-  for (const auto& [name, counter] : counters_) out[name] = counter->value();
-  return out;
-}
-
-std::map<std::string, MetricsRegistry::TimerSnapshot>
-MetricsRegistry::timers_snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::map<std::string, TimerSnapshot> out;
+  MetricsSnapshot out;
+  for (const auto& [name, counter] : counters_) {
+    out.counters[name] = counter->value();
+  }
   for (const auto& [name, timer] : timers_) {
-    out[name] = TimerSnapshot{timer->count(), timer->total_ms()};
+    out.timers[name] = {timer->count(),
+                        timer->nanos_.load(std::memory_order_relaxed)};
+  }
+  for (const auto& [name, gauge] : gauges_) {
+    out.gauges[name] = {gauge->value(),
+                        gauge->sums_.load(std::memory_order_relaxed)};
   }
   return out;
 }
 
-std::map<std::string, std::int64_t> MetricsRegistry::gauges_snapshot() const {
-  std::lock_guard lock(mutex_);
-  std::map<std::string, std::int64_t> out;
-  for (const auto& [name, gauge] : gauges_) out[name] = gauge->value();
-  return out;
+std::map<std::string, std::int64_t> MetricsRegistry::counters_snapshot()
+    const {
+  return snapshot().counters;
+}
+
+void MetricsRegistry::merge(const MetricsSnapshot& snapshot) {
+  for (const auto& [name, value] : snapshot.counters) counter(name).add(value);
+  for (const auto& [name, sample] : snapshot.timers) {
+    Timer& target = timer(name);
+    target.nanos_.fetch_add(sample.nanos, std::memory_order_relaxed);
+    target.count_.fetch_add(sample.count, std::memory_order_relaxed);
+  }
+  for (const auto& [name, observed] : snapshot.gauges) {
+    if (observed.sums) {
+      gauge(name).add(observed.value);
+    } else {
+      gauge(name).set_max(observed.value);
+    }
+  }
 }
 
 void MetricsRegistry::reset() {
@@ -137,6 +150,7 @@ void MetricsRegistry::reset() {
   }
   for (auto& [name, gauge] : gauges_) {
     gauge->value_.store(0, std::memory_order_relaxed);
+    gauge->sums_.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -164,37 +178,36 @@ namespace metrics {
 std::string to_json(const MetricsRegistry& registry) {
   std::string out = "{\n";
 
+  const MetricsSnapshot snapshot = registry.snapshot();
   out += "  \"counters\": {";
-  const auto counters = registry.counters_snapshot();
   bool first = true;
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : snapshot.counters) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
   }
-  out += counters.empty() ? "},\n" : "\n  },\n";
+  out += snapshot.counters.empty() ? "},\n" : "\n  },\n";
 
   out += "  \"timers_ms\": {";
-  const auto timers = registry.timers_snapshot();
   first = true;
-  for (const auto& [name, snap] : timers) {
+  for (const auto& [name, timer] : snapshot.timers) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + json_escape(name) +
-           "\": {\"count\": " + std::to_string(snap.count) +
-           ", \"total_ms\": " + format_ms(snap.total_ms) + "}";
+           "\": {\"count\": " + std::to_string(timer.count) +
+           ", \"total_ms\": " +
+           format_ms(static_cast<double>(timer.nanos) / 1e6) + "}";
   }
-  out += timers.empty() ? "},\n" : "\n  },\n";
+  out += snapshot.timers.empty() ? "},\n" : "\n  },\n";
 
   out += "  \"gauges\": {";
-  const auto gauges = registry.gauges_snapshot();
   first = true;
-  for (const auto& [name, value] : gauges) {
+  for (const auto& [name, gauge] : snapshot.gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
+    out += "    \"" + json_escape(name) + "\": " + std::to_string(gauge.value);
   }
-  out += gauges.empty() ? "}\n" : "\n  }\n";
+  out += snapshot.gauges.empty() ? "}\n" : "\n  }\n";
 
   out += "}\n";
   return out;

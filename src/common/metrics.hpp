@@ -23,6 +23,9 @@
 //   }
 // Keys are sorted within each section, so output is byte-stable for equal
 // observations.
+//
+// snapshot()/merge() copy a whole registry out and fold one in: how a
+// worker process reports each task's metrics (DESIGN.md section 13).
 #pragma once
 
 #include <atomic>
@@ -35,6 +38,24 @@
 #include <string_view>
 
 namespace dasc {
+
+/// Exact point-in-time copy of a whole MetricsRegistry, sorted by name.
+/// Merging it into another registry adds counters and timers (nanosecond
+/// totals, not rounded milliseconds); a gauge that was written with add()
+/// since the last reset adds too, and any other gauge keeps the maximum.
+struct MetricsSnapshot {
+  struct Timer {
+    std::int64_t count = 0;
+    std::int64_t nanos = 0;
+  };
+  struct Gauge {
+    std::int64_t value = 0;
+    bool sums = false;  ///< written with add(): merges by summing
+  };
+  std::map<std::string, std::int64_t> counters;
+  std::map<std::string, Timer> timers;
+  std::map<std::string, Gauge> gauges;
+};
 
 /// Thread-safe registry of named metric instruments. Instrument references
 /// returned by counter()/timer()/gauge() stay valid for the registry's
@@ -89,8 +110,10 @@ class MetricsRegistry {
     }
     /// Accumulate into the gauge (byte-traffic style observations that sum
     /// contributions from many short-lived instruments, e.g. spill I/O).
+    /// Marks the gauge as summing, so merged snapshots add it too.
     void add(std::int64_t delta) {
       value_.fetch_add(delta, std::memory_order_relaxed);
+      sums_.store(true, std::memory_order_relaxed);
     }
     /// Keep the maximum of the current and the observed value.
     void set_max(std::int64_t value) {
@@ -107,11 +130,7 @@ class MetricsRegistry {
    private:
     friend class MetricsRegistry;
     std::atomic<std::int64_t> value_{0};
-  };
-
-  struct TimerSnapshot {
-    std::int64_t count = 0;
-    double total_ms = 0.0;
+    std::atomic<bool> sums_{false};
   };
 
   MetricsRegistry() = default;
@@ -129,13 +148,17 @@ class MetricsRegistry {
   std::int64_t timer_count(std::string_view name) const;
   std::int64_t gauge_value(std::string_view name) const;
 
-  /// Sorted point-in-time copies of each section (the JSON writer's and
-  /// the tests' view).
+  /// Every instrument, exactly (see MetricsSnapshot): the JSON writer's,
+  /// the worker task report's and the tests' view.
+  MetricsSnapshot snapshot() const;
+  /// snapshot().counters.
   std::map<std::string, std::int64_t> counters_snapshot() const;
-  std::map<std::string, TimerSnapshot> timers_snapshot() const;
-  std::map<std::string, std::int64_t> gauges_snapshot() const;
+  /// Fold a snapshot in under MetricsSnapshot's rules, creating missing
+  /// instruments.
+  void merge(const MetricsSnapshot& snapshot);
 
-  /// Zero every instrument. References remain valid.
+  /// Zero every instrument (and clear each gauge's summing mark).
+  /// References remain valid.
   void reset();
 
  private:

@@ -45,23 +45,36 @@ std::pair<std::size_t, std::vector<double>> decode_member(
 namespace {
 
 /// Algorithm 1: per-record signature generation with broadcast hash
-/// parameters (one hasher copy per map task).
+/// parameters (one hasher copy per map task). Reports the same
+/// `lsh.signatures` timer and `lsh.points_hashed` counter as
+/// BucketTable::build, one timer sample per record.
 class SignatureMapper final : public mapreduce::Mapper {
  public:
-  explicit SignatureMapper(lsh::RandomProjectionHasher hasher)
-      : hasher_(std::move(hasher)) {}
+  SignatureMapper(lsh::RandomProjectionHasher hasher,
+                  MetricsRegistry* metrics)
+      : hasher_(std::move(hasher)),
+        signatures_(metrics != nullptr ? &metrics->timer("lsh.signatures")
+                                       : nullptr),
+        points_hashed_(metrics != nullptr
+                           ? &metrics->counter("lsh.points_hashed")
+                           : nullptr) {}
 
   void map(const std::string& key, const std::string& value,
            mapreduce::Emitter& out) override {
     const std::vector<double> point = data::record_to_point(value);
+    ScopedTimer timer(signatures_);
     const lsh::Signature sig =
         hasher_.hash(std::span<const double>(point));
+    timer.stop();
+    if (points_hashed_ != nullptr) points_hashed_->add();
     out.emit(lsh::to_string(sig, hasher_.bits()),
              key + "|" + value);  // (signature, index|vector)
   }
 
  private:
   lsh::RandomProjectionHasher hasher_;
+  MetricsRegistry::Timer* signatures_;
+  MetricsRegistry::Counter* points_hashed_;
 };
 
 /// Identity reducer: stage 1 only groups members per signature.
@@ -188,8 +201,8 @@ mapreduce::JobSpec make_stage1_spec(const MapReduceDascParams& params,
   lsh_spec.conf = with_spill(params.conf, params.dasc);
   lsh_spec.conf.job_name = "dasc-lsh";
   lsh_spec.conf.enable_combiner = false;
-  lsh_spec.mapper_factory = [hasher] {
-    return std::make_unique<SignatureMapper>(hasher);
+  lsh_spec.mapper_factory = [hasher, metrics = params.dasc.metrics] {
+    return std::make_unique<SignatureMapper>(hasher, metrics);
   };
   lsh_spec.reducer_factory = [] {
     return std::make_unique<IdentityReducer>();

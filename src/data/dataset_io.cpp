@@ -121,7 +121,7 @@ void save_csv(const PointSet& points, const std::string& path,
 PointSet load_csv(const std::string& path, bool labelled) {
   const File file = open_file(path, "rb", "load_csv");
 
-  std::vector<double> values;
+  AlignedVector values;  // adopted by the PointSet, never copied
   std::vector<int> labels;
   std::size_t dim = 0;
   std::size_t n = 0;
@@ -203,7 +203,7 @@ PointSet load_binary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&has_labels), sizeof(has_labels));
   if (!in) throw IoError("load_binary: truncated header in " + path);
 
-  std::vector<double> values(n * dim);
+  AlignedVector values(n * dim);
   in.read(reinterpret_cast<char*>(values.data()),
           static_cast<std::streamsize>(values.size() * sizeof(double)));
   if (!in) throw IoError("load_binary: truncated values in " + path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -12,11 +13,19 @@ PointSet::PointSet(std::size_t n, std::size_t dim)
   DASC_EXPECT(dim > 0 || n == 0, "PointSet: dimension must be positive");
 }
 
-PointSet::PointSet(std::size_t n, std::size_t dim, std::vector<double> values)
-    : n_(n), dim_(dim), values_(values.begin(), values.end()) {
+PointSet::PointSet(std::size_t n, std::size_t dim, AlignedVector values)
+    : n_(n), dim_(dim), values_(std::move(values)) {
   DASC_EXPECT(values_.size() == n * dim,
               "PointSet: values size must equal n * dim");
 }
+
+PointSet::PointSet(std::size_t n, std::size_t dim,
+                   const std::vector<double>& values)
+    : PointSet(n, dim, AlignedVector(values.begin(), values.end())) {}
+
+PointSet::PointSet(std::size_t n, std::size_t dim,
+                   std::initializer_list<double> values)
+    : PointSet(n, dim, AlignedVector(values)) {}
 
 void PointSet::set_labels(std::vector<int> labels) {
   DASC_EXPECT(labels.size() == n_, "set_labels: size must equal point count");

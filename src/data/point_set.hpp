@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -21,8 +22,12 @@ class PointSet {
   /// n points of dimension d, zero-initialized.
   PointSet(std::size_t n, std::size_t dim);
 
-  /// Adopt existing row-major values (size must be n * dim).
-  PointSet(std::size_t n, std::size_t dim, std::vector<double> values);
+  /// Adopt row-major values without copying them (size must be n * dim).
+  PointSet(std::size_t n, std::size_t dim, AlignedVector values);
+  /// Copy row-major values (size must be n * dim).
+  PointSet(std::size_t n, std::size_t dim, const std::vector<double>& values);
+  PointSet(std::size_t n, std::size_t dim,
+           std::initializer_list<double> values);
 
   std::size_t size() const { return n_; }
   std::size_t dim() const { return dim_; }

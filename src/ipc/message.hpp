@@ -34,9 +34,8 @@ namespace dasc::ipc {
 /// errors.
 enum class MessageType : std::uint32_t {
   kHello = 1,      ///< worker -> supervisor: u64 pid (handshake)
-  kJobSetup,       ///< supervisor -> exec worker: registered-job setup
   kMapAssign,      ///< supervisor -> worker: map task + input records
-  kMapDone,        ///< worker -> supervisor: map task counters
+  kMapDone,        ///< worker -> supervisor: map task counts + metrics
   kFetchData,      ///< owner data plane -> reducer: CRC + one partition's
                    ///< records of one map output (reply to kFetchPart)
   kTaskError,      ///< worker -> supervisor: task failed (message text)
@@ -47,8 +46,8 @@ enum class MessageType : std::uint32_t {
                    ///< map output {map_task, partition, num_partitions}
   kReducePull,     ///< supervisor -> reducer: pull-based reduce assignment
                    ///< (partition map of owner slots + data-plane paths)
-  kReducePullDone, ///< reducer -> supervisor: reduce output + spill/fault
-                   ///< accounting report
+  kReducePullDone, ///< reducer -> supervisor: reduce counts, metrics
+                   ///< snapshot and output records
   kPullFailed,     ///< reducer -> supervisor: a map-output owner died
                    ///< mid-pull {reduce_task, map_task}
   kPullResume,     ///< supervisor -> reducer: map_task re-executed locally,

@@ -184,16 +184,6 @@ Listener::~Listener() {
   ::unlink(path_.c_str());
 }
 
-std::unique_ptr<Transport> Listener::accept(std::size_t timeout_ms,
-                                            MetricsRegistry* metrics) {
-  std::unique_ptr<Transport> accepted = try_accept(timeout_ms, metrics);
-  if (accepted == nullptr) {
-    throw IoError("ipc: timed out waiting for a worker to connect to " +
-                  path_);
-  }
-  return accepted;
-}
-
 std::unique_ptr<Transport> Listener::try_accept(std::size_t timeout_ms,
                                                 MetricsRegistry* metrics) {
   return accept_within(static_cast<int>(timeout_ms), metrics);

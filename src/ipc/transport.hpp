@@ -15,9 +15,9 @@
 //              logical reader at a time is the caller's contract (the
 //              supervisor's per-worker exchange mutex enforces it).
 //
-// Workers connect either by inheriting one end of a socketpair() across
-// fork (make_socketpair + Transport(fd)) or, for exec'd worker binaries,
-// by connecting to a Listener's AF_UNIX path (Transport::connect).
+// A worker's control connection is one end of a socketpair() inherited
+// across fork (make_socketpair + Transport(fd)); data-plane peers connect
+// to a worker's Listener by AF_UNIX path (Transport::connect).
 //
 // Metrics (null-safe): counters `ipc.messages_sent` /
 // `ipc.messages_received`, gauges `ipc.bytes_sent` / `ipc.bytes_received`
@@ -53,7 +53,8 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Connect to a Listener's AF_UNIX path (exec-mode workers).
+  /// Connect to a Listener's AF_UNIX path (a reducer dialling an owner's
+  /// data plane).
   static std::unique_ptr<Transport> connect(const std::string& path,
                                             MetricsRegistry* metrics = nullptr);
 
@@ -83,19 +84,13 @@ class Transport {
 };
 
 /// AF_UNIX listening socket bound to `path` (unlinked on destruction).
-/// Used by the supervisor to accept exec-mode worker connections and by
-/// each worker's data plane to accept pulling reducers.
+/// Each worker's data plane accepts pulling reducers on one.
 class Listener {
  public:
   explicit Listener(const std::string& path);
   ~Listener();
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
-
-  /// Accept one connection, waiting up to `timeout_ms` (a worker that
-  /// never connects is a typed IoError, not a hang).
-  std::unique_ptr<Transport> accept(std::size_t timeout_ms = 10000,
-                                    MetricsRegistry* metrics = nullptr);
 
   /// Accept one connection or return nullptr after `timeout_ms` with no
   /// pending peer (or once wake() has been called).

@@ -65,9 +65,8 @@ WorkerSupervisor::WorkerSupervisor(WorkerLaunch launch)
     : launch_(std::move(launch)) {
   DASC_EXPECT(launch_.num_workers >= 1,
               "WorkerSupervisor: need at least one worker");
-  const bool exec_mode = !launch_.exec_argv.empty();
-  DASC_EXPECT(exec_mode || launch_.worker_main != nullptr,
-              "WorkerSupervisor: fork mode needs a worker_main");
+  DASC_EXPECT(launch_.worker_main != nullptr,
+              "WorkerSupervisor: need a worker_main");
 
   const std::size_t total = launch_.num_workers + launch_.num_spares;
   slots_.reserve(total);
@@ -77,13 +76,7 @@ WorkerSupervisor::WorkerSupervisor(WorkerLaunch launch)
 
   std::vector<int> parent_fds;
   parent_fds.reserve(total);
-  for (std::size_t slot = 0; slot < total; ++slot) {
-    if (exec_mode) {
-      spawn_execed(slot);
-    } else {
-      spawn_forked(slot, parent_fds);
-    }
-  }
+  for (std::size_t slot = 0; slot < total; ++slot) spawn(slot, parent_fds);
   for (std::size_t slot = 0; slot < total; ++slot) expect_hello(slot);
 
   if (launch_.metrics != nullptr) {
@@ -92,8 +85,7 @@ WorkerSupervisor::WorkerSupervisor(WorkerLaunch launch)
   }
   record_active();
   DASC_LOG(kInfo) << "supervisor: " << launch_.num_workers << " workers + "
-                  << launch_.num_spares << " spares "
-                  << (exec_mode ? "exec'd" : "forked");
+                  << launch_.num_spares << " spares forked";
 }
 
 WorkerSupervisor::~WorkerSupervisor() {
@@ -103,8 +95,7 @@ WorkerSupervisor::~WorkerSupervisor() {
   }
 }
 
-void WorkerSupervisor::spawn_forked(std::size_t slot,
-                                    std::vector<int>& parent_fds) {
+void WorkerSupervisor::spawn(std::size_t slot, std::vector<int>& parent_fds) {
   auto [parent_fd, child_fd] = make_socketpair();
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -138,42 +129,6 @@ void WorkerSupervisor::spawn_forked(std::size_t slot,
   WorkerSlot& state = *slots_[slot];
   state.pid = pid;
   state.transport = std::make_unique<Transport>(parent_fd, launch_.metrics);
-  state.alive.store(true, std::memory_order_release);
-}
-
-void WorkerSupervisor::spawn_execed(std::size_t slot) {
-  namespace fs = std::filesystem;
-  const fs::path base = launch_.socket_dir.empty()
-                            ? fs::temp_directory_path()
-                            : fs::path(launch_.socket_dir);
-  const std::string socket_path =
-      (base / ("dasc-worker-" + std::to_string(::getpid()) + "-" +
-               std::to_string(slot) + ".sock"))
-          .string();
-  Listener listener(socket_path);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) throw IoError("supervisor: fork for exec failed");
-  if (pid == 0) {
-    std::vector<std::string> args = launch_.exec_argv;
-    args.push_back(socket_path);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& arg : args) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    ::_exit(127);  // exec failed; the parent's accept() times out
-  }
-  WorkerSlot& state = *slots_[slot];
-  state.pid = pid;
-  try {
-    state.transport =
-        listener.accept(launch_.connect_timeout_ms, launch_.metrics);
-  } catch (...) {
-    ::kill(pid, SIGKILL);
-    reap_pid(pid);
-    throw;
-  }
   state.alive.store(true, std::memory_order_release);
 }
 
@@ -224,6 +179,11 @@ bool WorkerSupervisor::reap_locked(WorkerSlot& slot) {
   std::lock_guard lock(slot.lifecycle_mutex);
   if (!slot.alive.load(std::memory_order_acquire)) return false;
   reap_pid(slot.pid);
+  retire(slot);
+  return true;
+}
+
+void WorkerSupervisor::retire(WorkerSlot& slot) {
   slot.alive.store(false, std::memory_order_release);
   const std::size_t swept =
       sweep_spool_files(launch_.spill_dir, static_cast<long>(slot.pid));
@@ -231,7 +191,6 @@ bool WorkerSupervisor::reap_locked(WorkerSlot& slot) {
     launch_.metrics->gauge("worker.spool_files_swept")
         .add(static_cast<std::int64_t>(swept));
   }
-  return true;
 }
 
 void WorkerSupervisor::kill_worker(std::size_t slot) {
@@ -243,15 +202,9 @@ void WorkerSupervisor::kill_worker(std::size_t slot) {
     // not yet reaped, so it cannot have been recycled.
     ::kill(state.pid, SIGKILL);
     reap_pid(state.pid);
-    state.alive.store(false, std::memory_order_release);
-    const std::size_t swept =
-        sweep_spool_files(launch_.spill_dir, static_cast<long>(state.pid));
+    retire(state);
     if (launch_.metrics != nullptr) {
       launch_.metrics->gauge("worker.killed").add(1);
-      if (swept > 0) {
-        launch_.metrics->gauge("worker.spool_files_swept")
-            .add(static_cast<std::int64_t>(swept));
-      }
     }
   }
   DASC_LOG(kWarn) << "supervisor: killed worker " << slot << " (pid "
@@ -299,13 +252,7 @@ void WorkerSupervisor::shutdown() {
       ::kill(slot->pid, SIGKILL);
       reap_pid(slot->pid);
     }
-    slot->alive.store(false, std::memory_order_release);
-    const std::size_t swept =
-        sweep_spool_files(launch_.spill_dir, static_cast<long>(slot->pid));
-    if (launch_.metrics != nullptr && swept > 0) {
-      launch_.metrics->gauge("worker.spool_files_swept")
-          .add(static_cast<std::int64_t>(swept));
-    }
+    retire(*slot);
   }
   record_active();
 }

@@ -1,5 +1,7 @@
-// Worker-process lifecycle: fork/exec N workers (plus pre-forked spares),
-// hand out their transports, and reap them on death or shutdown.
+// Worker-process lifecycle: fork N workers (plus pre-forked spares), hand
+// out their transports, and reap them on death or shutdown. A worker is a
+// fork of its supervisor: it runs worker_main on copy-on-write copies of
+// everything the supervisor held, closures and registries included.
 //
 // Fork safety is by construction: every worker — including the spares that
 // replace victims of the `worker.kill` fault site — is forked in the
@@ -10,8 +12,7 @@
 // replaced by *activating* an already-forked spare, never by a late fork.
 //
 // Each worker slot owns:
-//   - the connected Transport (parent end of a socketpair for forked
-//     workers; an accepted Listener connection for exec'd binaries),
+//   - the connected Transport (parent end of a socketpair),
 //   - an exchange mutex serializing request/response conversations (the
 //     transport's single-reader contract),
 //   - a lifecycle mutex guarding SIGKILL/waitpid/sweep so a fault-injected
@@ -50,27 +51,18 @@ struct WorkerLaunch {
   std::size_t num_workers = 2;
   /// Pre-forked spares activated when a primary dies (worker.kill).
   std::size_t num_spares = 1;
-  /// Fork mode: runs in the child with its end of the socketpair. The
-  /// child must treat the call as its whole life: the preamble has already
-  /// sent kHello, and _exit follows the return. Mutually exclusive with
-  /// exec_argv.
+  /// Runs in the child with its end of the socketpair. The child must
+  /// treat the call as its whole life: the preamble has already sent
+  /// kHello, and _exit follows the return.
   std::function<void(Transport&, std::size_t slot)> worker_main;
-  /// Exec mode: argv of the worker binary; the supervisor appends the
-  /// AF_UNIX socket path as the last argument. The binary must connect,
-  /// send kHello{pid}, and serve.
-  std::vector<std::string> exec_argv;
-  /// Directory for exec-mode listener sockets ("" = system temp dir).
-  std::string socket_dir;
   /// Spill directory swept for dead workers' spool files ("" = temp dir).
   std::string spill_dir;
   MetricsRegistry* metrics = nullptr;
-  /// Exec mode: how long to wait for a worker to connect before IoError.
-  std::size_t connect_timeout_ms = 10000;
 };
 
 class WorkerSupervisor {
  public:
-  /// Forks (or execs) every worker and completes the kHello handshake.
+  /// Forks every worker and completes the kHello handshake.
   /// Must be called while the process is single-threaded (see file
   /// comment); throws IoError when a worker fails to start.
   explicit WorkerSupervisor(WorkerLaunch launch);
@@ -108,12 +100,14 @@ class WorkerSupervisor {
     std::mutex lifecycle_mutex;
   };
 
-  void spawn_forked(std::size_t slot, std::vector<int>& parent_fds);
-  void spawn_execed(std::size_t slot);
+  void spawn(std::size_t slot, std::vector<int>& parent_fds);
   void expect_hello(std::size_t slot);
   /// Reap + sweep under the slot's lifecycle mutex; returns false if the
   /// slot was already dead.
   bool reap_locked(WorkerSlot& slot);
+  /// Mark a reaped slot dead and sweep its spool files; the caller holds
+  /// its lifecycle mutex.
+  void retire(WorkerSlot& slot);
   void record_active() const;
 
   WorkerLaunch launch_;

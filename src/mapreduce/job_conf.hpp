@@ -100,13 +100,7 @@ struct JobConf {
   std::uint64_t placement_seed = 0;
   /// Worker liveness heartbeat period while a task runs (0 = off).
   std::size_t heartbeat_interval_ms = 25;
-  /// kMultiProcess launch: "" forks workers that inherit this job's
-  /// mapper/reducer factories; a path execs that binary per worker, which
-  /// must serve a *registered* job looked up by job_name (see
-  /// remote_runner.hpp) — arbitrary std::function factories cannot cross
-  /// an exec boundary.
-  std::string worker_binary;
-  /// Human-readable job name for logging (and the exec-mode registry key).
+  /// Human-readable job name for logging.
   std::string job_name = "job";
 
   DaemonHeaps heaps;

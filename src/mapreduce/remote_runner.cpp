@@ -13,7 +13,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -110,53 +109,55 @@ bool flip_one_byte(std::vector<Record>& records) {
   return false;
 }
 
+/// A task's whole metrics registry on the wire, after the fixed fields of
+/// kMapDone and kReducePullDone: counters, timers, gauges, each a count
+/// followed by named entries. No name is special here; the supervisor
+/// merges what arrives (MetricsSnapshot has the rules).
+void write_metrics(WireWriter& writer, const MetricsRegistry& metrics) {
+  const MetricsSnapshot snapshot = metrics.snapshot();
+  writer.u64(snapshot.counters.size());
+  for (const auto& [name, value] : snapshot.counters) {
+    writer.bytes(name);
+    writer.u64(static_cast<std::uint64_t>(value));
+  }
+  writer.u64(snapshot.timers.size());
+  for (const auto& [name, timer] : snapshot.timers) {
+    writer.bytes(name);
+    writer.u64(static_cast<std::uint64_t>(timer.count));
+    writer.u64(static_cast<std::uint64_t>(timer.nanos));
+  }
+  writer.u64(snapshot.gauges.size());
+  for (const auto& [name, gauge] : snapshot.gauges) {
+    writer.bytes(name);
+    writer.u64(static_cast<std::uint64_t>(gauge.value));
+    writer.u32(gauge.sums ? 1 : 0);
+  }
+}
+
+MetricsSnapshot read_metrics(WireReader& reader) {
+  MetricsSnapshot snapshot;
+  for (std::uint64_t n = reader.u64(); n > 0; --n) {
+    const std::string name(reader.bytes());
+    snapshot.counters[name] = static_cast<std::int64_t>(reader.u64());
+  }
+  for (std::uint64_t n = reader.u64(); n > 0; --n) {
+    const std::string name(reader.bytes());
+    MetricsSnapshot::Timer& timer = snapshot.timers[name];
+    timer.count = static_cast<std::int64_t>(reader.u64());
+    timer.nanos = static_cast<std::int64_t>(reader.u64());
+  }
+  for (std::uint64_t n = reader.u64(); n > 0; --n) {
+    const std::string name(reader.bytes());
+    MetricsSnapshot::Gauge& gauge = snapshot.gauges[name];
+    gauge.value = static_cast<std::int64_t>(reader.u64());
+    gauge.sums = reader.u32() != 0;
+  }
+  return snapshot;
+}
+
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
-
-/// The canonical wordcount job, pre-registered so exec-mode workers and
-/// supervisors agree on its semantics by sharing this single definition.
-class WordCountMapper final : public Mapper {
- public:
-  void map(const std::string& /*key*/, const std::string& value,
-           Emitter& out) override {
-    std::istringstream stream(value);
-    std::string word;
-    while (stream >> word) out.emit(word, "1");
-  }
-};
-
-class WordCountSumReducer final : public Reducer {
- public:
-  void reduce(const std::string& key, const std::vector<std::string>& values,
-              Emitter& out) override {
-    long total = 0;
-    for (const auto& value : values) total += std::stol(value);
-    out.emit(key, std::to_string(total));
-  }
-};
-
-WorkerJob builtin_wordcount_job() {
-  WorkerJob job;
-  job.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
-  job.reducer_factory = [] { return std::make_unique<WordCountSumReducer>(); };
-  job.combiner_factory = [] {
-    return std::make_unique<WordCountSumReducer>();
-  };
-  return job;
-}
-
-std::map<std::string, std::function<WorkerJob()>>& job_registry() {
-  static std::map<std::string, std::function<WorkerJob()>> registry = {
-      {"wordcount", builtin_wordcount_job},
-  };
-  return registry;
-}
-
-std::mutex& job_registry_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
 
 /// State shared between a worker's serve loop and its data-plane threads:
 /// map outputs are written by the serve loop (kMapAssign, and kMapAssign
@@ -192,9 +193,11 @@ struct PullSlice {
 };
 
 /// Execute one map task (a kMapAssign payload past its task id) and retain
-/// its output for pulls; returns the kMapDone reply.
+/// its output for pulls; returns the kMapDone reply, which ends with the
+/// snapshot of `metrics`.
 Message run_map_task(const WorkerJob& job, WorkerState& state,
-                     std::uint64_t task, WireReader& reader) {
+                     const MetricsRegistry& metrics, std::uint64_t task,
+                     WireReader& reader) {
   detail::MapTaskResult mapped = detail::execute_map_task(
       job.mapper_factory, job.combiner_factory,
       job.use_combiner && job.combiner_factory != nullptr,
@@ -204,6 +207,7 @@ Message run_map_task(const WorkerJob& job, WorkerState& state,
   done.u64(mapped.emitted);
   done.u64(mapped.combined);
   done.u64(mapped.output.size());
+  write_metrics(done, metrics);
   std::lock_guard lock(state.outputs_mutex);
   state.map_outputs[task] = std::move(mapped.output);
   return {MessageType::kMapDone, done.take()};
@@ -381,13 +385,14 @@ class OwnerLink {
 /// — into one sort-on-seal spool, then reduce off the merged stream. Pull
 /// order fixes the partition's record sequence to exactly what
 /// fetch_and_partition builds, so the spool's stable merge makes the
-/// reduce byte-identical to the in-process executor. Returns the
-/// kReducePullDone report: the reduce result plus the pulled byte volume
-/// and the spill/fault work the supervisor absorbs into its own registry
-/// and injector.
+/// reduce byte-identical to the in-process executor. The pulls, the spool
+/// and the reducer all report into `metrics`; the kReducePullDone reply
+/// carries the reduce result, the pulled byte volume and that registry's
+/// snapshot.
 Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
                         const WorkerOptions& options, WorkerState& state,
-                        std::uint64_t task, WireReader& reader) {
+                        MetricsRegistry& metrics, std::uint64_t task,
+                        WireReader& reader) {
   const std::uint64_t num_partitions = reader.u64();
   const std::uint64_t num_map_tasks = reader.u64();
   const std::uint64_t spill_budget = reader.u64();
@@ -400,13 +405,7 @@ Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
   }
 
   FaultInjector* faults = options.faults;
-  const std::uint64_t fetch_base =
-      faults != nullptr ? faults->fired("shuffle.fetch") : 0;
-
-  // A per-task registry so the spill gauges snapshot cleanly into the
-  // kReducePullDone report; the supervisor re-homes them in its own
-  // registry when the task commits.
-  MetricsRegistry task_metrics;
+  ScopedTimer shuffle_timer(&metrics, "mapreduce.shuffle");
   SpoolConfig spool_config;
   spool_config.dir = spill_dir;
   // JobConf budget 0 means spilling off; SpoolConfig budget 0 means spill
@@ -416,10 +415,9 @@ Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
                         : static_cast<std::size_t>(spill_budget);
   spool_config.sort_on_seal = true;
   spool_config.faults = faults;
-  spool_config.metrics = &task_metrics;
+  spool_config.metrics = &metrics;
   SpoolBuffer spool(spool_config);
 
-  std::uint64_t fetch_retries = 0;
   const std::uint64_t conns_base = state.pool.opened();
 
   std::map<std::size_t, OwnerLink> links;
@@ -495,7 +493,7 @@ Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
                       std::to_string(map_task) + " failed after " +
                       std::to_string(max_fetch_attempts) + " attempts");
       }
-      ++fetch_retries;
+      metrics.counter("retry.shuffle_fetch").add();
       DASC_LOG(kWarn) << "worker " << options.ordinal
                       << ": re-pulling map output " << map_task
                       << " (attempt " << attempt
@@ -529,7 +527,7 @@ Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
         case MessageType::kMapAssign: {
           WireReader assign(frame->payload);
           const std::uint64_t assigned = assign.u64();
-          control.send(run_map_task(job, state, assigned, assign));
+          control.send(run_map_task(job, state, metrics, assigned, assign));
           break;
         }
         case MessageType::kPullResume: {
@@ -571,63 +569,28 @@ Message run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
     }
   }
   spool.finish();
+  shuffle_timer.stop();
+  // Connection economics are scheduling-shaped (how many distinct owners a
+  // reducer pulls from, pool reuse across its tasks), so they are summed
+  // gauges; reused connections add nothing to the dial count.
+  metrics.gauge("shuffle.conns_opened")
+      .add(static_cast<std::int64_t>(state.pool.opened() - conns_base));
+  metrics.gauge("shuffle.pulls")
+      .add(static_cast<std::int64_t>(num_map_tasks));  // one slice per map
   const detail::ReduceTaskResult reduced =
       detail::execute_reduce_spooled(job.reducer_factory, spool);
-  const auto spool_retries = static_cast<std::uint64_t>(
-      task_metrics.counter_value("retry.spill_page_io"));
   WireWriter report;
   report.u64(task);
   report.u64(reduced.num_groups);
   report.u64(reduced.in_records);
   report.u64(reduced.output.size());
   report.u64(spool.record_bytes());
-  for (const char* gauge :
-       {"spill.bytes_written", "spill.bytes_read", "spill.pages"}) {
-    report.u64(static_cast<std::uint64_t>(task_metrics.gauge_value(gauge)));
-  }
-  report.u64(faults != nullptr ? faults->fired("shuffle.fetch") - fetch_base
-                               : 0);
-  report.u64(fetch_retries);
-  // Every realized spool fire was retried on the way to this (successful)
-  // report, so the spool's retry count IS its fire count. The injector's
-  // fired() delta would also pick up `spill.page_io` fires realized inside
-  // user map/reduce code (e.g. a reduce stage running its own spools on
-  // the job's detached registry); absorbing those without their retries
-  // would break the supervisor's fired == retried invariant, so they stay
-  // worker-local like every other user-code metric. `shuffle.fetch` has no
-  // such aliasing — only the pull loop above calls it in a worker — so its
-  // delta is exact.
-  report.u64(spool_retries);  // fires
-  report.u64(spool_retries);
-  // Dials are visible only as the pool's counter; the delta over this task
-  // is what the report attributes to it (reused connections add nothing).
-  report.u64(state.pool.opened() - conns_base);
-  report.u64(num_map_tasks);  // pulls: one slice per map output
+  write_metrics(report, metrics);
   append_records(report, reduced.output);
   return {MessageType::kReducePullDone, report.take()};
 }
 
 }  // namespace
-
-void register_worker_job(const std::string& name,
-                         std::function<WorkerJob()> factory) {
-  DASC_EXPECT(factory != nullptr, "register_worker_job: null factory");
-  std::lock_guard lock(job_registry_mutex());
-  job_registry()[name] = std::move(factory);
-}
-
-WorkerJob make_registered_worker_job(const std::string& name) {
-  std::function<WorkerJob()> factory;
-  {
-    std::lock_guard lock(job_registry_mutex());
-    const auto it = job_registry().find(name);
-    if (it == job_registry().end()) {
-      throw InvalidArgument("worker job not registered: '" + name + "'");
-    }
-    factory = it->second;
-  }
-  return factory();
-}
 
 void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
                        const WorkerOptions& options) {
@@ -635,6 +598,11 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
   DASC_EXPECT(job.reducer_factory != nullptr, "worker: missing reducer");
 
   WorkerState state;
+  MetricsRegistry local_metrics;  // the job passed no registry
+  MetricsRegistry& metrics =
+      options.metrics != nullptr ? *options.metrics : local_metrics;
+  // Fires count where the task's work does, so they travel home with it.
+  if (options.faults != nullptr) options.faults->set_metrics(&metrics);
 
   // Bind the data plane before serving the first assignment, so by the
   // time any reducer learns this worker's address (from a partition map
@@ -726,11 +694,14 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
   };
 
   // Run one assigned task with heartbeats flowing and ship its reply; a
-  // failure becomes the task's kTaskError and the loop keeps serving.
+  // failure becomes the task's kTaskError and the loop keeps serving. The
+  // registry starts each task at zero, so the snapshot a reply carries is
+  // exactly that task's work.
   const auto run_task = [&](const Message& assignment, const char* where,
                             const auto& execute) {
     WireReader reader(assignment.payload);
     const std::uint64_t task = reader.u64();
+    metrics.reset();
     busy.store(true, std::memory_order_release);
     try {
       ipc::send_message(transport, execute(task, reader));
@@ -752,14 +723,14 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
         case MessageType::kMapAssign:
           run_task(*message, "map",
                    [&](std::uint64_t task, WireReader& reader) {
-                     return run_map_task(job, state, task, reader);
+                     return run_map_task(job, state, metrics, task, reader);
                    });
           break;
         case MessageType::kReducePull:
           run_task(*message, "reduce_pull",
                    [&](std::uint64_t task, WireReader& reader) {
                      return run_reduce_pull(transport, job, options, state,
-                                            task, reader);
+                                            metrics, task, reader);
                    });
           break;
         case MessageType::kTaskCancel: {
@@ -1034,40 +1005,33 @@ JobResult run_job_multiproc(const JobSpec& spec,
                              .string());
   }
 
-  // ---- Launch the workers (before any job threads exist: fork safety) ----
+  // ---- Fork the workers (before any job threads exist: fork safety) ----
   ipc::WorkerLaunch launch;
   launch.num_workers = conf.num_workers;
   launch.num_spares = conf.worker_spares;
   launch.spill_dir = conf.spill_dir;
-  launch.socket_dir = conf.spill_dir;
   launch.metrics = mp.metrics;
-  const bool exec_mode = !conf.worker_binary.empty();
-  if (exec_mode) {
-    launch.exec_argv = {conf.worker_binary};
-  } else {
-    WorkerJob job;
-    job.mapper_factory = mp.mapper_factory;
-    job.reducer_factory = mp.reducer_factory;
-    job.combiner_factory = mp.combiner_factory;
-    job.use_combiner = use_combiner;
-    launch.worker_main = [job = std::move(job), faults = mp.faults,
-                          heartbeat_ms = conf.heartbeat_interval_ms,
-                          data_paths](ipc::Transport& transport,
-                                      std::size_t slot) {
-      // The child's copy-on-write FaultInjector must never touch the
-      // parent-owned MetricsRegistry. Worker-side sites (`shuffle.fetch`
-      // during pulls, `spill.page_io` in the reduce spool) still evaluate
-      // here; their fires are reported back in kReducePullDone and
-      // re-homed into the supervisor's injector and registry.
-      if (faults != nullptr) faults->detach_metrics();
-      WorkerOptions options;
-      options.ordinal = slot;
-      options.heartbeat_ms = heartbeat_ms;
-      options.data_socket_path = data_paths[slot];
-      options.faults = faults;
-      serve_worker_loop(transport, job, options);
-    };
-  }
+  WorkerJob job;
+  job.mapper_factory = mp.mapper_factory;
+  job.reducer_factory = mp.reducer_factory;
+  job.combiner_factory = mp.combiner_factory;
+  job.use_combiner = use_combiner;
+  launch.worker_main = [job = std::move(job), faults = mp.faults,
+                        metrics = mp.metrics,
+                        heartbeat_ms = conf.heartbeat_interval_ms,
+                        data_paths](ipc::Transport& transport,
+                                    std::size_t slot) {
+    // The child owns private copies of the supervisor's registry and
+    // injector, and the job's mapper/reducer closures already point at
+    // that registry copy, so user code reports into the task registry.
+    WorkerOptions options;
+    options.ordinal = slot;
+    options.heartbeat_ms = heartbeat_ms;
+    options.data_socket_path = data_paths[slot];
+    options.faults = faults;
+    options.metrics = metrics;
+    serve_worker_loop(transport, job, options);
+  };
   ipc::WorkerSupervisor supervisor(std::move(launch));
   WorkerExchange exchange(supervisor, mp.metrics);
 
@@ -1075,25 +1039,16 @@ JobResult run_job_multiproc(const JobSpec& spec,
                   << conf.num_reducers << " reduce tasks on "
                   << supervisor.primaries() << "+"
                   << (supervisor.provisioned() - supervisor.primaries())
-                  << " worker processes ("
-                  << (exec_mode ? conf.worker_binary : "forked") << ")";
+                  << " worker processes";
 
-  if (exec_mode) {
-    // Exec'd binaries reconstruct the job from the registry; every slot
-    // (spares included) learns its assignment-independent setup up front.
-    for (std::size_t slot = 0; slot < supervisor.provisioned(); ++slot) {
-      WireWriter writer;
-      writer.u64(slot);
-      writer.u64(conf.heartbeat_interval_ms);
-      writer.u32(use_combiner ? 1 : 0);
-      writer.bytes(conf.job_name);
-      writer.bytes(data_paths[slot]);
-      writer.bytes(mp.faults != nullptr ? mp.faults->plan().to_string()
-                                        : std::string());
-      supervisor.transport(slot).send(
-          {MessageType::kJobSetup, writer.take()});
-    }
-  }
+  // A committed attempt's metrics snapshot joins the job's registry, its
+  // fault fires the job's injector. A failed or losing attempt's snapshot
+  // is dropped with the attempt, so its fires, retries and work vanish
+  // together and the accounting stays consistent.
+  const auto absorb = [&](MetricsSnapshot& snapshot) {
+    if (mp.faults != nullptr) mp.faults->absorb_remote_fires(snapshot);
+    if (mp.metrics != nullptr) mp.metrics->merge(snapshot);
+  };
 
   std::atomic<std::uint64_t> failed_attempts{0};
   std::atomic<std::uint64_t> speculative_launches{0};
@@ -1211,7 +1166,9 @@ JobResult run_job_multiproc(const JobSpec& spec,
         DASC_ENSURE(reader.u64() == task, "ipc: kMapDone task mismatch");
         const std::uint64_t emitted = reader.u64();
         const std::uint64_t combined = reader.u64();
-        return {[&, task, slot, emitted, combined] {
+        reader.u64();  // output count
+        return {[&, task, slot, emitted, combined,
+                 snapshot = read_metrics(reader)]() mutable {
                   map_in.fetch_add(splits[task].size(),
                                    std::memory_order_relaxed);
                   map_out.fetch_add(emitted, std::memory_order_relaxed);
@@ -1220,6 +1177,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
                     combine_out.fetch_add(combined,
                                           std::memory_order_relaxed);
                   }
+                  absorb(snapshot);
                   map_owner[task] = slot;
                 },
                 [&queue_cancel, task, slot] {
@@ -1282,6 +1240,8 @@ JobResult run_job_multiproc(const JobSpec& spec,
     if (done.type == MessageType::kTaskError) rethrow_task_error(done);
     DASC_ENSURE(done.type == MessageType::kMapDone,
                 "ipc: unexpected reply to kMapAssign (pull recovery)");
+    // The re-execution ran inside the reduce task, so its metrics ride in
+    // the reduce task's report; this reply's snapshot is not merged.
     WireReader done_reader(done.payload);
     DASC_ENSURE(done_reader.u64() == map_task,
                 "ipc: kMapDone task mismatch (pull recovery)");
@@ -1339,21 +1299,12 @@ JobResult run_job_multiproc(const JobSpec& spec,
     const std::uint64_t in_records = reader.u64();
     const std::uint64_t out_count = reader.u64();
     const std::uint64_t record_bytes = reader.u64();
-    const std::uint64_t spill_written = reader.u64();
-    const std::uint64_t spill_read = reader.u64();
-    const std::uint64_t spill_pages = reader.u64();
-    const std::uint64_t fetch_fires = reader.u64();
-    const std::uint64_t fetch_retries = reader.u64();
-    const std::uint64_t spill_fires = reader.u64();
-    const std::uint64_t spill_retries = reader.u64();
-    const std::uint64_t conns_opened = reader.u64();
-    const std::uint64_t pulls = reader.u64();
+    MetricsSnapshot snapshot = read_metrics(reader);
     std::vector<Record> out = read_records(reader);
     DASC_ENSURE(out.size() == out_count,
                 "ipc: kReducePullDone record count mismatch");
-    return {[&, task, num_groups, in_records, record_bytes, spill_written,
-             spill_read, spill_pages, fetch_fires, fetch_retries, spill_fires,
-             spill_retries, conns_opened, pulls,
+    return {[&, task, num_groups, in_records, record_bytes,
+             snapshot = std::move(snapshot),
              out = std::move(out)]() mutable {
       reduce_groups.fetch_add(num_groups, std::memory_order_relaxed);
       reduce_in.fetch_add(in_records, std::memory_order_relaxed);
@@ -1361,38 +1312,7 @@ JobResult run_job_multiproc(const JobSpec& spec,
       pulled_shuffle_bytes.fetch_add(record_bytes,
                                      std::memory_order_relaxed);
       reduce_outputs[task] = std::move(out);
-      // Re-home the committing attempt's worker-side accounting so the
-      // supervisor's registry and injector read as if it pulled itself:
-      // spill gauges accumulate, retry counters count, and every
-      // reported fire lands in fault.injected.<site>. (A failed
-      // attempt's report is discarded with the attempt — fires, retries,
-      // and spill work vanish together, keeping the views consistent.)
-      if (mp.metrics != nullptr) {
-        const auto absorb = [&](bool counter, const char* name,
-                                std::uint64_t value) {
-          const auto delta = static_cast<std::int64_t>(value);
-          if (delta == 0) return;
-          if (counter) {
-            mp.metrics->counter(name).add(delta);
-          } else {
-            mp.metrics->gauge(name).add(delta);
-          }
-        };
-        absorb(false, "spill.bytes_written", spill_written);
-        absorb(false, "spill.bytes_read", spill_read);
-        absorb(false, "spill.pages", spill_pages);
-        absorb(true, "retry.shuffle_fetch", fetch_retries);
-        absorb(true, "retry.spill_page_io", spill_retries);
-        // Connection economics are scheduling-shaped (how many distinct
-        // owners a reducer pulls from, pool reuse across its tasks), so
-        // they are gauges; bench_multiproc gates the dials-per-pull ratio.
-        absorb(false, "shuffle.conns_opened", conns_opened);
-        absorb(false, "shuffle.pulls", pulls);
-      }
-      if (mp.faults != nullptr) {
-        mp.faults->record_remote_fires("shuffle.fetch", fetch_fires);
-        mp.faults->record_remote_fires("spill.page_io", spill_fires);
-      }
+      absorb(snapshot);
     },
             [&queue_cancel, task, slot] {
               queue_cancel(/*kind=*/1, task, slot);

@@ -3,8 +3,8 @@
 // kMultiProcess.
 //
 // The control plane is a supervisor-mediated star (DESIGN.md section 13):
-// the supervisor — the process that called run_job — forks (or execs) the
-// workers before spawning any job threads, drives both phases through the
+// the supervisor — the process that called run_job — forks the workers
+// before spawning any job threads, drives both phases through the
 // same detail::run_task_phase as the in-process executor, and moves data
 // as CRC-framed messages. Payloads larger than one stream chunk ship as
 // bounded kDataChunk/kDataEnd streams (ipc/stream.hpp), so a big map input
@@ -14,9 +14,9 @@
 // binds a data-plane Listener, reducers pull their partitions straight
 // from the mapper workers, and the supervisor relays no shuffle bytes:
 //
-//   map:     kMapAssign{task, records}        -> kMapDone{counters}
-//   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
-//                                                spill/fault accounting}
+//   map:     kMapAssign{task, records}        -> kMapDone{counts, metrics}
+//   reduce:  kReducePull{task, partition map} -> kReducePullDone{counts,
+//                                                metrics, records}
 //   pull:    kFetchPart{map_task, partition}  -> kFetchData{crc, records}
 //            (reducer -> owner's data plane)
 //
@@ -50,16 +50,21 @@
 // output is byte-identical to kInProcess for any worker count, any spill
 // budget, and any fault plan that lets the job finish.
 //
+// Metrics: a worker's registry is its private copy of the job's (a local
+// one when the job has none), which the job's mapper and reducer already
+// write into. It is zeroed before each task and shipped whole in the
+// reply; the supervisor merges only the committed attempt's snapshot.
+//
 // Fault sites: `map.task` / `reduce.task` fire in the supervisor exactly
 // as in-process, and `worker.kill` SIGKILLs the assigned worker right
 // after its task ships — the task's transport then sees EOF, the attempt
 // fails, and the retry re-dispatches to the next live slot (a pre-forked
-// spare when the primaries are exhausted). `shuffle.fetch` fires inside
-// the pulling reduce worker (fires/retries are reported back in
-// kReducePullDone and absorbed into the supervisor's injector and
-// registry, so accounting stays consistent). A dead map-output owner
-// causes a deterministic map re-execution (`worker.map_reexecutions`
-// gauge).
+// spare when the primaries are exhausted). Sites inside a task
+// (`shuffle.fetch`, `spill.page_io`, `alloc.gram_block`) fire in the
+// worker's copy of the injector and count into the task registry; the
+// supervisor moves those counts into its own injector
+// (FaultInjector::absorb_remote_fires). A dead map-output owner causes a
+// deterministic map re-execution (`worker.map_reexecutions` gauge).
 #pragma once
 
 #include <cstddef>
@@ -73,6 +78,7 @@
 
 namespace dasc {
 class FaultInjector;
+class MetricsRegistry;
 }  // namespace dasc
 
 namespace dasc::ipc {
@@ -90,9 +96,8 @@ struct WorkerJob {
   bool use_combiner = false;
 };
 
-/// Per-worker runtime knobs for serve_worker_loop. Forked workers get
-/// these from the supervisor's closure; exec'd workers parse them out of
-/// kJobSetup.
+/// Per-worker runtime knobs for serve_worker_loop, set by the supervisor's
+/// fork closure.
 struct WorkerOptions {
   /// The worker's slot index (logging and self-pull detection).
   std::size_t ordinal = 0;
@@ -102,10 +107,13 @@ struct WorkerOptions {
   /// no data plane (a worker driven directly, without a supervisor).
   std::string data_socket_path;
   /// Worker-side fault injection (`shuffle.fetch` during pulls,
-  /// `spill.page_io` in the reduce spool). May be null. Forked workers
-  /// share the supervisor's injector copy-on-write (metrics detached);
-  /// exec'd workers own one built from the kJobSetup plan text.
+  /// `spill.page_io` in the reduce spool), or null: the worker's own
+  /// (copy-on-write) copy of the supervisor's injector. The loop points
+  /// it at the task registry.
   FaultInjector* faults = nullptr;
+  /// The registry every task reports through: zeroed before each task,
+  /// snapshotted into its reply. Null = a registry local to the loop.
+  MetricsRegistry* metrics = nullptr;
 };
 
 /// A worker process's whole life: serve task assignments from `transport`
@@ -121,20 +129,9 @@ struct WorkerOptions {
 void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
                        const WorkerOptions& options);
 
-/// Registry of jobs an exec-mode worker binary can serve by name
-/// (JobConf::job_name travels in kJobSetup). "wordcount" — the canonical
-/// end-to-end demo — is pre-registered, so the dasc_worker binary and the
-/// supervisor share one definition by construction.
-void register_worker_job(const std::string& name,
-                         std::function<WorkerJob()> factory);
-
-/// Build a registered job. Throws InvalidArgument for unknown names.
-WorkerJob make_registered_worker_job(const std::string& name);
-
-/// Execute a job on forked (or, with conf.worker_binary set, exec'd)
-/// worker processes. Called by run_job/run_job_dfs when
-/// conf.execution_mode == kMultiProcess; call sequence, speculation, and
-/// determinism contract in the file comment.
+/// Execute a job on forked worker processes. Called by run_job/run_job_dfs
+/// when conf.execution_mode == kMultiProcess; call sequence, speculation,
+/// and determinism contract in the file comment.
 JobResult run_job_multiproc(const JobSpec& spec,
                             std::vector<std::vector<Record>> splits);
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "clustering/metrics.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/dataset_io.hpp"
 #include "mapreduce/virtual_cluster.hpp"
@@ -221,6 +225,70 @@ TEST(MapReduceDasc, MultiProcessLabelsMatchInProcessOnWideInput) {
     const auto result = dasc_cluster_mapreduce(points, params, rng);
     EXPECT_EQ(result.labels, baseline.labels);
     EXPECT_EQ(result.num_clusters, baseline.num_clusters);
+  }
+}
+
+/// Every metric name a registry holds, tagged by kind, minus the names
+/// only a multi-process run can have: its transport (`ipc.*`), its worker
+/// processes (`worker.*`) and its pull connections.
+std::set<std::string> engine_metric_keys(const MetricsRegistry& registry) {
+  const auto engine_only = [](const std::string& name) {
+    return name.starts_with("ipc.") || name.starts_with("worker.") ||
+           name == "shuffle.conns_opened" || name == "shuffle.pulls";
+  };
+  const MetricsSnapshot snapshot = registry.snapshot();
+  std::set<std::string> keys;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (!engine_only(name)) keys.insert("counter " + name);
+  }
+  for (const auto& [name, timer] : snapshot.timers) {
+    if (!engine_only(name)) keys.insert("timer " + name);
+  }
+  for (const auto& [name, gauge] : snapshot.gauges) {
+    if (!engine_only(name)) keys.insert("gauge " + name);
+  }
+  return keys;
+}
+
+TEST(MapReduceDasc, MultiProcessReportsTheInProcessMetrics) {
+  // Worker tasks ship their whole registry home, so a multi-process run
+  // reports every metric the in-process engine does — the reducers'
+  // bucket pipeline, K-means and eigensolver work, the mappers' LSH work,
+  // the pulled spools — and every counter agrees exactly.
+  const data::PointSet points = blobs(400, 4, 41);
+  for (const std::size_t budget : {0u, 65536u}) {
+    SCOPED_TRACE("spill budget " + std::to_string(budget));
+    MapReduceDascParams params;
+    params.dasc.k = 4;
+    params.dasc.spill_budget_bytes = budget;
+    params.conf.split_records = 100;  // several map tasks
+
+    MetricsRegistry in_process;
+    params.dasc.metrics = &in_process;
+    dasc::Rng in_process_rng(9);
+    const auto baseline = dasc_cluster_mapreduce(points, params,
+                                                 in_process_rng);
+
+    MetricsRegistry multi_process;
+    params.dasc.metrics = &multi_process;
+    params.conf.execution_mode = mapreduce::ExecutionMode::kMultiProcess;
+    params.conf.num_workers = 2;
+    dasc::Rng multi_process_rng(9);
+    const auto result = dasc_cluster_mapreduce(points, params,
+                                               multi_process_rng);
+    ASSERT_EQ(result.labels, baseline.labels);
+
+    EXPECT_EQ(engine_metric_keys(multi_process),
+              engine_metric_keys(in_process));
+    for (const auto& [name, value] : in_process.counters_snapshot()) {
+      EXPECT_EQ(multi_process.counter_value(name), value) << name;
+    }
+    EXPECT_EQ(multi_process.counter_value("lsh.points_hashed"),
+              static_cast<std::int64_t>(points.size()));
+    EXPECT_GT(multi_process.counter_value("pipeline.buckets"), 0);
+    if (budget > 0) {
+      EXPECT_GT(multi_process.gauge_value("spill.bytes_written"), 0);
+    }
   }
 }
 

@@ -159,6 +159,13 @@ const ChaosCase kCases[] = {
      "retry.shuffle_fetch", "seed=18;shuffle.fetch:nth=3:max=3:kind=corrupt",
      core::GramBackendPolicy::kAuto, 0,
      mapreduce::ExecutionMode::kMultiProcess, 2},
+    // Gram-block faults fire inside the reducers' bucket pipelines, in each
+    // worker's copy of the injector; their fires and bucket retries travel
+    // home together in the task's metrics snapshot.
+    {"MultiprocGramNth", Consumer::kMapReduce, "alloc.gram_block",
+     "retry.bucket_attempts", "seed=27;alloc.gram_block:nth=2:max=2",
+     core::GramBackendPolicy::kAuto, 0,
+     mapreduce::ExecutionMode::kMultiProcess, 2},
     // worker.kill: SIGKILL the assigned worker right after a task ships.
     // Retry accounting is not exact-per-fire (recovery may re-execute map
     // tasks whose outputs died with their owner), so site/counter are

@@ -1,9 +1,9 @@
 // Multi-process execution tests: output parity with the in-process
 // executor across worker counts, placement determinism across modes and
 // seeds, worker.kill recovery mid-map and mid-reduce, worker-side task
-// failures surfacing as typed errors, the exec-mode worker binary
-// (DESIGN.md section 13), and cross-process speculative execution with
-// supervisor-arbitrated commit and kTaskCancel cleanup (section 15).
+// failures surfacing as typed errors, and cross-process speculative
+// execution with supervisor-arbitrated commit and kTaskCancel cleanup
+// (DESIGN.md section 15).
 #include "mapreduce/remote_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -215,35 +215,6 @@ TEST(MultiprocJob, EmptyInputStillRuns) {
   EXPECT_EQ(result.num_map_tasks, 1u);
 }
 
-TEST(MultiprocJob, ExecModeWorkerBinaryMatchesInProcess) {
-#ifndef DASC_WORKER_BIN
-  GTEST_SKIP() << "dasc_worker binary path not configured";
-#else
-  // The registered "wordcount" job must agree with an in-process run of
-  // the same factories (both sides use the remote_runner registry).
-  WorkerJob registered = make_registered_worker_job("wordcount");
-  JobSpec in_proc;
-  in_proc.conf.num_reducers = 3;
-  in_proc.conf.split_records = 2;
-  in_proc.conf.job_name = "wordcount";
-  in_proc.mapper_factory = registered.mapper_factory;
-  in_proc.reducer_factory = registered.reducer_factory;
-  in_proc.combiner_factory = registered.combiner_factory;
-  const JobResult baseline = run_job(in_proc, word_count_input());
-
-  JobSpec exec_spec = in_proc;
-  exec_spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  exec_spec.conf.num_workers = 2;
-  exec_spec.conf.worker_binary = DASC_WORKER_BIN;
-  const JobResult result = run_job(exec_spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
-#endif
-}
-
-TEST(MultiprocJob, UnknownRegisteredJobIsInvalidArgument) {
-  EXPECT_THROW(make_registered_worker_job("no-such-job"), InvalidArgument);
-}
-
 // --- Worker-to-worker shuffle (DESIGN.md section 14) ---
 
 JobSpec w2w_spec(std::size_t workers, std::size_t spill_budget) {
@@ -405,32 +376,6 @@ TEST(MultiprocW2W, EmptyInputStillRuns) {
   const JobResult result = run_job(w2w_spec(2, /*spill_budget=*/1), {});
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.num_map_tasks, 1u);
-}
-
-TEST(MultiprocW2W, ExecModeWorkerBinaryMatchesInProcess) {
-#ifndef DASC_WORKER_BIN
-  GTEST_SKIP() << "dasc_worker binary path not configured";
-#else
-  WorkerJob registered = make_registered_worker_job("wordcount");
-  JobSpec in_proc;
-  in_proc.conf.num_reducers = 3;
-  in_proc.conf.split_records = 2;
-  in_proc.conf.job_name = "wordcount";
-  in_proc.mapper_factory = registered.mapper_factory;
-  in_proc.reducer_factory = registered.reducer_factory;
-  in_proc.combiner_factory = registered.combiner_factory;
-  const JobResult baseline = run_job(in_proc, word_count_input());
-
-  // Exec'd workers learn their data-plane address and fault plan from
-  // kJobSetup, so pulls work across a real exec boundary too.
-  JobSpec exec_spec = in_proc;
-  exec_spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  exec_spec.conf.num_workers = 2;
-  exec_spec.conf.spill_budget_bytes = 1;
-  exec_spec.conf.worker_binary = DASC_WORKER_BIN;
-  const JobResult result = run_job(exec_spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
-#endif
 }
 
 // --- Cross-process speculative execution (DESIGN.md section 15) ---
